@@ -23,6 +23,12 @@ cargo test -q
 echo "==> cargo test -q --workspace (all crates incl. plobs, doc-tests)"
 cargo test -q --workspace
 
+echo "==> perfbench: build and test the repo benchmark"
+# perfbench is a package of its own outside the workspace, so the
+# workspace steps above never compile it; a library API change it uses
+# would otherwise break the benchmark unseen.
+cargo test -q --release --manifest-path perfbench/Cargo.toml
+
 echo "==> smoke: polynomial example emits a valid RunReport + takes the fused route"
 # The example validates its own RunReport JSON and panics on a
 # malformed document; it also runs a mapped pipeline under a recorded

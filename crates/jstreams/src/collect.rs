@@ -195,8 +195,26 @@ where
 /// Chooses a leaf granularity for a source of `len` elements on a pool of
 /// `threads` workers: enough leaves for load balance (~4 per worker, the
 /// ForkJoinPool heuristic), but never below 1.
+///
+/// This is the default for sources whose splits cut encounter-order
+/// prefixes. An interleaving (zip) source defaults to one leaf per
+/// worker instead; see [`try_collect_with`].
 pub fn default_leaf_size(len: usize, threads: usize) -> usize {
     (len / (4 * threads.max(1))).max(1)
+}
+
+/// The split policy of a parallel collect that sets none and gets no
+/// tuner plan. Prefix-splitting sources take [`default_leaf_size`]. An
+/// interleaving source (zip) takes one leaf per worker: each of its
+/// leaves is a strided run spanning the whole input, so every extra
+/// level re-reads the input once more while adding no parallelism.
+fn default_policy<T, S: Spliterator<T>>(source: &S, threads: usize) -> SplitPolicy {
+    let len = source.estimate_size();
+    SplitPolicy::Fixed(if source.prefix_splits() {
+        default_leaf_size(len, threads)
+    } else {
+        (len / threads.max(1)).max(1)
+    })
 }
 
 /// Parallel collect on `pool` with the static policy: recursively splits
@@ -273,8 +291,11 @@ where
 ///
 /// Resolution order: `cfg.mode()` picks the route; the parallel route
 /// takes `cfg`'s pool (default: the [global pool](forkjoin::global_pool))
-/// and split policy (default: [`SplitPolicy::Fixed`] at
-/// [`default_leaf_size`]). Fault handling:
+/// and split policy: an explicit one, else a tuner plan, else
+/// [`SplitPolicy::Fixed`] at [`default_leaf_size`] for prefix-splitting
+/// sources and at `len / threads` (one leaf per worker) for interleaving
+/// ones, whose strided leaves each sweep the whole input. The placement
+/// route runs under the same policy. Fault handling:
 ///
 /// * a panic in user code is contained at its leaf/combine, trips the
 ///   session's [`CancelToken`](forkjoin::CancelToken) so siblings
@@ -342,8 +363,8 @@ where
                     // Policy precedence: an explicit `with_split_policy`
                     // / `with_leaf_size` always wins; otherwise a tuner
                     // attached via `auto_tune` resolves a cached (or
-                    // freshly calibrated) plan; otherwise the static
-                    // heuristic. The fingerprint's size/`sized` pair
+                    // freshly calibrated) plan; otherwise
+                    // `default_policy`. The fingerprint's size/`sized` pair
                     // comes from `exact_size()` so a non-SIZED upper
                     // bound is bucketed as inexact, not mistaken for a
                     // real length.
@@ -362,12 +383,7 @@ where
                                 pltune::resolve(cache, pool, &fp)
                             })
                         })
-                        .unwrap_or_else(|| {
-                            SplitPolicy::Fixed(default_leaf_size(
-                                source.estimate_size(),
-                                pool.threads(),
-                            ))
-                        });
+                        .unwrap_or_else(|| default_policy(&source, pool.threads()));
                     // Destination-passing route: when the collector and
                     // pipeline are eligible, allocate the output once
                     // and write leaves straight into disjoint windows.
@@ -950,6 +966,7 @@ mod tests {
     use crate::tie::TieSpliterator;
     use crate::zip::ZipSpliterator;
     use powerlist::tabulate;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn pool() -> ForkJoinPool {
         ForkJoinPool::new(3)
@@ -1045,6 +1062,82 @@ mod tests {
         assert_eq!(default_leaf_size(10, 8), 1);
         assert_eq!(default_leaf_size(0, 4), 1);
         assert_eq!(default_leaf_size(100, 0), 25);
+    }
+
+    /// Sums `i64`s and counts the zero-copy leaves it runs, so a test
+    /// reads the tree shape from the collect itself rather than from a
+    /// process-global run report.
+    struct LeafCounter(Arc<AtomicUsize>);
+
+    impl Collector<i64> for LeafCounter {
+        type Acc = i64;
+        type Out = i64;
+
+        fn supplier(&self) -> i64 {
+            0
+        }
+
+        fn accumulate(&self, acc: &mut i64, item: i64) {
+            *acc += item;
+        }
+
+        fn combine(&self, left: i64, right: i64) -> i64 {
+            left + right
+        }
+
+        fn finish(&self, acc: i64) -> i64 {
+            acc
+        }
+
+        fn leaf_slice(&self, items: &[i64]) -> Option<i64> {
+            self.leaf_strided(items, 1)
+        }
+
+        fn leaf_strided(&self, items: &[i64], step: usize) -> Option<i64> {
+            self.0.fetch_add(1, Ordering::Relaxed);
+            Some(items.iter().step_by(step).sum())
+        }
+    }
+
+    /// Leaves of one checked parallel sum of `0..n` under `cfg`. The
+    /// collect runs inside a recorded section only so that its events
+    /// stay out of other tests' recordings; the count comes from the
+    /// collector, not the report.
+    fn count_leaves<S: Spliterator<i64> + 'static>(source: S, cfg: &ExecConfig) -> usize {
+        let n = source.estimate_size() as i64;
+        let leaves = Arc::new(AtomicUsize::new(0));
+        let (sum, _) = plobs::recorded(|| {
+            try_collect_with(source, LeafCounter(Arc::clone(&leaves)), cfg).unwrap()
+        });
+        assert_eq!(sum, n * (n - 1) / 2);
+        leaves.load(Ordering::Relaxed)
+    }
+
+    #[test]
+    fn default_tree_gives_zip_one_leaf_per_worker() {
+        const N: usize = 1 << 12;
+        let list = tabulate(N, |i| i as i64).unwrap();
+        for threads in 1..=4 {
+            let cfg = ExecConfig::par().with_pool(Arc::new(ForkJoinPool::new(threads)));
+            assert_eq!(
+                count_leaves(ZipSpliterator::over(list.clone()), &cfg),
+                threads.next_power_of_two(),
+                "zip default on {threads} threads: one leaf per worker"
+            );
+            assert_eq!(
+                count_leaves(TieSpliterator::over(list.clone()), &cfg),
+                (4 * threads).next_power_of_two(),
+                "tie default on {threads} threads: ~4 leaves per worker"
+            );
+            assert_eq!(
+                count_leaves(
+                    ZipSpliterator::over(list.clone()),
+                    &cfg.with_leaf_size(N / 8)
+                ),
+                8,
+                "an explicit leaf size still wins on {threads} threads"
+            );
+        }
     }
 
     #[test]

@@ -64,7 +64,8 @@ pub struct ExecConfig {
 
 impl ExecConfig {
     /// A parallel configuration (the default) — pool and split policy
-    /// resolved lazily (global pool, `default_leaf_size`) unless set.
+    /// resolved lazily (global pool, the source-dependent default leaf
+    /// size of [`try_collect_with`](crate::try_collect_with)) unless set.
     pub fn par() -> Self {
         ExecConfig::default().with_mode(ExecMode::Par)
     }

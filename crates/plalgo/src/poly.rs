@@ -485,14 +485,37 @@ mod tests {
 
     #[test]
     fn shared_degree_reaches_leaf_count() {
-        let p = coeffs(1 << 8);
-        let collector = PolynomialCollector::new(0.5);
-        let state = collector.degree_state();
-        let spliterator = poly_spliterator(p, &collector);
-        let _ = stream_support(spliterator, true)
-            .with_leaf_size(16) // 256 / 16 = 16 leaves
-            .collect(collector);
-        assert_eq!(state.get(), 16, "global x_degree = number of leaves");
+        // 256 / 16 = 16 leaves; with no leaf size, the zip tree has one
+        // leaf per worker.
+        for (leaf_size, threads, leaves) in [(Some(16), 3, 16), (None, 2, 2)] {
+            let p = coeffs(1 << 8);
+            let collector = PolynomialCollector::new(0.5);
+            let state = collector.degree_state();
+            let mut stream = stream_support(poly_spliterator(p, &collector), true)
+                .with_pool(Arc::new(forkjoin::ForkJoinPool::new(threads)));
+            if let Some(l) = leaf_size {
+                stream = stream.with_leaf_size(l);
+            }
+            let _ = stream.collect(collector);
+            assert_eq!(state.get(), leaves, "global x_degree = number of leaves");
+        }
+    }
+
+    #[test]
+    fn default_policy_matches_horner_on_small_pools() {
+        let x = 0.9993;
+        for threads in 1..=4 {
+            let pool = Arc::new(forkjoin::ForkJoinPool::new(threads));
+            for k in 0..=16 {
+                let p = coeffs(1 << k);
+                let expected = horner(p.as_slice(), x);
+                let got = eval_par_stream_with(p, x, Some(Arc::clone(&pool)), None);
+                assert!(
+                    rel_close(got, expected),
+                    "threads={threads} k={k}: {got} vs {expected}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Figures 3–4 microbenchmark: polynomial evaluation, sequential stream
-//! baseline vs the parallel PowerList collect, plus the JPLF executor
-//! and a rayon fold as external reference points.
+//! baseline and a hand-written Horner loop vs the parallel PowerList
+//! collect, plus the JPLF executor as an external reference point.
 //!
 //! Absolute numbers on a small host will not match the paper's 8-core
 //! machine (see the `figures` binary for the simulated series); this
@@ -9,7 +9,6 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use jplf::Executor;
 use plbench::random_coeffs;
-use rayon::prelude::*;
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -58,20 +57,6 @@ fn bench_poly(c: &mut Criterion) {
         let exec_tupled = jplf::ForkJoinExecutor::with_pool(Arc::clone(&pool), (n / 16).max(1));
         group.bench_with_input(BenchmarkId::new("tupled_jplf", k), &n, |b, _| {
             b.iter(|| exec_tupled.execute(&plalgo::TupledVp::new(EVAL_POINT), black_box(&view)))
-        });
-
-        // Rayon reference: evaluate via indexed map+sum (not the same
-        // algorithm shape, but the ecosystem-standard data-parallel
-        // baseline).
-        let slice: Vec<f64> = coeffs.as_slice().to_vec();
-        group.bench_with_input(BenchmarkId::new("rayon_map_sum", k), &n, |b, _| {
-            b.iter(|| {
-                slice
-                    .par_iter()
-                    .enumerate()
-                    .map(|(i, &a)| a * EVAL_POINT.powi(i as i32))
-                    .sum::<f64>()
-            })
         });
     }
     group.finish();

@@ -33,8 +33,10 @@ pub fn probe_size(size_bucket: u32) -> usize {
 }
 
 /// The candidate grid for an input of `n` elements on `threads`
-/// workers: the driver's default fixed leaf, a 4× finer and a 4×
-/// coarser fixed leaf, and the default adaptive policy.
+/// workers: the driver's default fixed leaf for prefix-splitting
+/// sources, a 4× finer and a 4× coarser fixed leaf (the coarser one is
+/// the interleaving-source default, one leaf per worker), and the
+/// default adaptive policy.
 pub fn candidate_policies(n: usize, threads: usize) -> Vec<SplitPolicy> {
     let default_leaf = (n / (4 * threads.max(1))).max(1);
     let raw = [

@@ -23,6 +23,22 @@ cargo test -q
 echo "==> cargo test -q --workspace (all crates incl. plobs, doc-tests)"
 cargo test -q --workspace
 
+echo "==> tree walk: no second recursion, contract tests repeated"
+# Every fork-join driver in jstreams and jplf runs on one recursion,
+# jstreams::walk. A hand-written copy would call the demand probe or the
+# pool submission itself, so any such call outside the walk module
+# fails here. The walk's contract tests (panic-vs-cancel merging,
+# pre-cancelled runs, the submit-race depth cap, the stop rule) then
+# run 20 times in release mode, so a schedule-dependent break shows.
+if grep -rnE 'demand_split\(|\.try_install\(' crates/jstreams/src crates/jplf/src \
+    | grep -v '^crates/jstreams/src/walk.rs:'; then
+    echo "demand_split( or .try_install( called outside crates/jstreams/src/walk.rs" >&2
+    exit 1
+fi
+for _ in $(seq 20); do
+    cargo test -q --release -p jstreams --lib walk::tests
+done
+
 echo "==> perfbench: build and test the repo benchmark"
 # perfbench is a package of its own outside the workspace, so the
 # workspace steps above never compile it; a library API change it uses

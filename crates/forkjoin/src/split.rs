@@ -4,7 +4,9 @@
 //! automatically stopped when a limit that depends on the system is
 //! attained", Section V). This module makes that limit an explicit,
 //! selectable policy shared by every recursive driver in the repository
-//! (the jstreams collect driver and the JPLF fork-join executor):
+//! (the jstreams tree walk behind collect, search and the JPLF fork-join
+//! executor, and pltune's calibration probe), which all stop through
+//! [`SplitPolicy::should_split`]:
 //!
 //! * [`SplitPolicy::Fixed`] — the original static threshold: stop
 //!   splitting once a node's size drops to `leaf_size`. Deterministic
@@ -94,6 +96,42 @@ impl SplitPolicy {
         };
         ceil_log2(threads) + slack
     }
+
+    /// The stop rule: whether a node at `depth` splits, given its exact
+    /// size (`None` when the size is only an upper-bound estimate), the
+    /// depth `cap` and the steal count its parent saw.
+    ///
+    /// Only an exact size may stop a node on size. Stopping on an
+    /// upper bound (a filter chain's estimate) would serialise the
+    /// surviving work into one oversized leaf, so such nodes descend to
+    /// the cap and let the source refuse the split instead.
+    /// [`SplitPolicy::Fixed`] stops on `size <= leaf_size`;
+    /// [`SplitPolicy::Adaptive`] stops at the cap or at `min_leaf`, and
+    /// otherwise asks [`demand_split`].
+    ///
+    /// Returns `(split, steals_now)`; callers thread `steals_now` into
+    /// the children, as with [`demand_split`].
+    pub fn should_split(
+        &self,
+        exact: Option<usize>,
+        depth: u32,
+        cap: u32,
+        steals_seen: u64,
+    ) -> (bool, u64) {
+        match *self {
+            SplitPolicy::Fixed(leaf_size) => match exact {
+                Some(size) => (size > leaf_size, steals_seen),
+                None => (depth < cap, steals_seen),
+            },
+            SplitPolicy::Adaptive(a) => {
+                if depth >= cap || exact.is_some_and(|size| size <= a.min_leaf) {
+                    (false, steals_seen)
+                } else {
+                    demand_split(a.surplus, steals_seen)
+                }
+            }
+        }
+    }
 }
 
 /// One demand-driven split decision, taken from the calling worker's
@@ -116,7 +154,8 @@ impl SplitPolicy {
 /// the pool that will execute the joins (the caller's own pool for a
 /// worker thread, the global pool otherwise). Pinned by the
 /// `demand_split_off_pool_always_splits_deterministically` plcheck
-/// model and the drivers' fallback tests.
+/// model and the tree walk's
+/// `submit_race_fallback_recomputes_cap_from_executing_pool` test.
 pub fn demand_split(surplus: usize, steals_seen: u64) -> (bool, u64) {
     match current_probe() {
         Some(probe) => {
@@ -160,6 +199,28 @@ mod tests {
         assert!(p.is_adaptive());
         assert_eq!(p, SplitPolicy::Adaptive(AdaptiveSplit::default()));
         assert!(!SplitPolicy::Fixed(16).is_adaptive());
+    }
+
+    #[test]
+    fn stop_rule_trusts_only_exact_sizes() {
+        let fixed = SplitPolicy::Fixed(4096);
+        // An exact size at the leaf stops; an upper bound of the same
+        // value descends to the cap.
+        assert_eq!(fixed.should_split(Some(4096), 0, 4, 9), (false, 9));
+        assert_eq!(fixed.should_split(Some(4097), 0, 4, 9), (true, 9));
+        assert_eq!(fixed.should_split(None, 3, 4, 9), (true, 9));
+        assert_eq!(fixed.should_split(None, 4, 4, 9), (false, 9));
+        // The cap bounds Fixed only over inexact sizes.
+        assert!(fixed.should_split(Some(1 << 20), 40, 4, 0).0);
+        let adaptive = SplitPolicy::Adaptive(AdaptiveSplit {
+            min_leaf: 1 << 20,
+            ..AdaptiveSplit::default()
+        });
+        assert!(!adaptive.should_split(Some(512), 0, 4, 0).0);
+        // Off-pool, demand always splits, so only size and cap decide.
+        assert!(adaptive.should_split(None, 0, 4, 0).0);
+        assert!(adaptive.should_split(Some((1 << 20) + 1), 0, 4, 0).0);
+        assert!(!adaptive.should_split(None, 4, 4, 0).0);
     }
 
     #[test]

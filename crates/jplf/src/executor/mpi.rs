@@ -20,7 +20,7 @@
 //!    depth `k-1-s` of their path. Rank 0 finishes with the result.
 
 use crate::executor::{ExecConfig, ExecError, Executor};
-use crate::function::{compute_sequential, try_compute_sequential, Decomp, PowerFunction};
+use crate::function::{compute_sequential, try_compute_sequential, PowerFunction};
 use crate::mpisim::collective::scatter;
 use crate::mpisim::comm::run_mpi;
 use jstreams::{ExecSession, Interrupt};
@@ -97,10 +97,10 @@ where
             });
             return;
         }
-        let (l, r) = match f.decomposition() {
-            Decomp::Tie => view.untie().expect("depth bounded by log2(len)"),
-            Decomp::Zip => view.unzip().expect("depth bounded by log2(len)"),
-        };
+        let (l, r) = f
+            .decomposition()
+            .halves(&view)
+            .expect("depth bounded by log2(len)");
         let (fl, fr) = (f.create_left(), f.create_right());
         let (lv, rv) = match f.transform_halves(&l, &r) {
             None => (l, r),
@@ -268,6 +268,7 @@ impl Executor for MpiExecutor {
 mod tests {
     use super::*;
     use crate::executor::SequentialExecutor;
+    use crate::function::Decomp;
     use powerlist::tabulate;
 
     #[derive(Clone)]

@@ -32,6 +32,16 @@ pub enum Decomp {
     Zip,
 }
 
+impl Decomp {
+    /// Deconstructs `view` into its two halves; `None` on a singleton.
+    pub(crate) fn halves<T>(self, view: &PowerView<T>) -> Option<(PowerView<T>, PowerView<T>)> {
+        match self {
+            Decomp::Tie => view.untie().ok(),
+            Decomp::Zip => view.unzip().ok(),
+        }
+    }
+}
+
 /// A divide-and-conquer function over PowerLists, defined by the JPLF
 /// primitives.
 ///
@@ -98,12 +108,8 @@ pub trait PowerFunction: Send + Sized + 'static {
 /// must agree with, and the leaf kernel parallel executors call below
 /// their splitting threshold.
 pub fn compute_sequential<F: PowerFunction>(f: &F, input: &PowerView<F::Elem>) -> F::Out {
-    if input.is_singleton() {
+    let Some((l, r)) = f.decomposition().halves(input) else {
         return f.basic_case(input.singleton_value());
-    }
-    let (l, r) = match f.decomposition() {
-        Decomp::Tie => input.untie().expect("non-singleton"),
-        Decomp::Zip => input.unzip().expect("non-singleton"),
     };
     let (fl, fr) = (f.create_left(), f.create_right());
     let (lo, ro) = match f.transform_halves(&l, &r) {
@@ -132,12 +138,8 @@ pub fn try_compute_sequential<F: PowerFunction>(
     session: &jstreams::ExecSession,
 ) -> Result<F::Out, jstreams::Interrupt> {
     session.check()?;
-    if input.is_singleton() {
+    let Some((l, r)) = f.decomposition().halves(input) else {
         return session.run(|| f.basic_case(input.singleton_value()));
-    }
-    let (l, r) = match f.decomposition() {
-        Decomp::Tie => input.untie().expect("non-singleton"),
-        Decomp::Zip => input.unzip().expect("non-singleton"),
     };
     let (fl, fr) = session.run(|| (f.create_left(), f.create_right()))?;
     let transformed = session.run(|| f.transform_halves(&l, &r))?;

@@ -25,13 +25,14 @@
 
 use crate::executor::{ExecConfig, ExecError, ForkJoinExecutor, SequentialExecutor};
 use crate::function::Decomp;
-use forkjoin::{demand_split, join, CancelReason, SplitPolicy};
-use jstreams::{FirstHit, Interrupt, SearchSession};
+use forkjoin::{CancelReason, CancelToken};
+use jstreams::exec::finish_infallible;
+use jstreams::walk::{self, Halves, TreeWalk};
+use jstreams::{FirstHit, SearchSession};
 use parking_lot::Mutex;
-use plobs::{Event, FallbackReason, LeafRoute};
+use plobs::LeafRoute;
 use powerlist::PowerView;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// A searchable predicate over PowerList elements, with the
 /// decomposition choice that directs how the search tree splits (the
@@ -115,9 +116,15 @@ impl<T: Clone> PowerSink<T> {
     }
 }
 
-/// Scans one view left to right, recording the first match. Returns the
-/// number of elements scanned (for the leaf event).
-fn scan_leaf<F>(f: &F, input: &PowerView<F::Elem>, sink: &PowerSink<F::Elem>) -> (u64, bool)
+/// One search leaf: scans the view left to right and records its
+/// first match; a decisive hit trips `Found` strictly after the sink
+/// recorded it. Returns the leaf's route and the elements scanned.
+fn scan<F>(
+    f: &F,
+    input: &PowerView<F::Elem>,
+    sink: &PowerSink<F::Elem>,
+    token: &CancelToken,
+) -> ((), LeafRoute, u64)
 where
     F: PowerSearchFunction,
 {
@@ -129,157 +136,54 @@ where
             // Within a view, j (hence the physical index) is increasing,
             // so the first match is the view's earliest — no sink needs
             // the rest of the leaf.
-            return (scanned, sink.hit(start + j * incr, v));
-        }
-    }
-    (scanned, false)
-}
-
-/// One leaf of the search recursion: predicate under panic containment,
-/// a decisive hit trips `Found` strictly after the sink recorded it.
-fn search_leaf<F>(
-    f: &F,
-    input: &PowerView<F::Elem>,
-    sink: &PowerSink<F::Elem>,
-    session: &SearchSession,
-) -> Result<(), Interrupt>
-where
-    F: PowerSearchFunction,
-{
-    let observe = plobs::enabled();
-    let t0 = if observe { Some(Instant::now()) } else { None };
-    let token = session.token().clone();
-    let scanned = session.run(|| {
-        let (scanned, decisive) = scan_leaf(f, input, sink);
-        if decisive {
-            token.cancel(CancelReason::Found);
-        }
-        scanned
-    })?;
-    if let Some(t0) = t0 {
-        plobs::emit(Event::Leaf {
-            route: LeafRoute::Template,
-            items: scanned,
-            ns: t0.elapsed().as_nanos() as u64,
-        });
-    }
-    Ok(())
-}
-
-/// The guarded whole-input scan: the sequential strategy, and the
-/// degradation target when the fork-join route's pool is unavailable.
-fn try_search_sequential<F>(
-    f: &F,
-    input: &PowerView<F::Elem>,
-    sink: &PowerSink<F::Elem>,
-    session: &SearchSession,
-) -> Result<(), Interrupt>
-where
-    F: PowerSearchFunction,
-{
-    if session.check()? {
-        plobs::emit(Event::EarlyExit { leaves_pruned: 1 });
-        return Ok(());
-    }
-    search_leaf(f, input, sink, session)
-}
-
-/// The parallel search recursion — [`ForkJoinExecutor`]'s
-/// `try_par_compute` skeleton with search checkpoints in place of the
-/// combine phase.
-#[allow(clippy::too_many_arguments)] // mirrors try_par_compute's frame
-fn try_search_par<F>(
-    f: Arc<F>,
-    input: PowerView<F::Elem>,
-    sink: Arc<PowerSink<F::Elem>>,
-    policy: SplitPolicy,
-    cap: u32,
-    depth: u32,
-    steals_seen: u64,
-    session: &SearchSession,
-) -> Result<(), Interrupt>
-where
-    F: PowerSearchFunction,
-{
-    // Node-entry checkpoint: a Found trip prunes the subtree as success.
-    if session.check()? {
-        plobs::emit(Event::EarlyExit { leaves_pruned: 1 });
-        return Ok(());
-    }
-    // Encounter-order pruning: every physical index in this view is
-    // ≥ start (incr ≥ 1), under zip interleaving too.
-    if sink.bound() <= input.start() {
-        plobs::emit(Event::EarlyExit { leaves_pruned: 1 });
-        return Ok(());
-    }
-    let observe = plobs::enabled();
-    let mut steals_next = steals_seen;
-    let stop = input.is_singleton()
-        || match policy {
-            SplitPolicy::Fixed(leaf) => input.len() <= leaf,
-            SplitPolicy::Adaptive(a) => {
-                if depth >= cap || input.len() <= a.min_leaf {
-                    true
-                } else {
-                    let (wants_split, now) = demand_split(a.surplus, steals_seen);
-                    steals_next = now;
-                    !wants_split
-                }
+            if sink.hit(start + j * incr, v) {
+                token.cancel(CancelReason::Found);
             }
-        };
-    if stop {
-        return search_leaf(&*f, &input, &*sink, session);
-    }
-    let t0 = if observe { Some(Instant::now()) } else { None };
-    let (l, r) = match f.decomposition() {
-        Decomp::Tie => input.untie().expect("non-singleton"),
-        Decomp::Zip => input.unzip().expect("non-singleton"),
-    };
-    if let Some(t0) = t0 {
-        plobs::emit(Event::Split {
-            depth,
-            adaptive: policy.is_adaptive(),
-        });
-        plobs::emit(Event::DescendNs {
-            ns: t0.elapsed().as_nanos() as u64,
-        });
-    }
-    let f_r = Arc::clone(&f);
-    let sink_r = Arc::clone(&sink);
-    let s_left = session.clone();
-    let s_right = session.clone();
-    let (lo, ro) = join(
-        move || try_search_par(f, l, sink, policy, cap, depth + 1, steals_next, &s_left),
-        move || {
-            try_search_par(
-                f_r,
-                r,
-                sink_r,
-                policy,
-                cap,
-                depth + 1,
-                steals_next,
-                &s_right,
-            )
-        },
-    );
-    match (lo, ro) {
-        (Ok(()), Ok(())) => Ok(()),
-        (Err(a), Err(b)) => Err(a.merge(b)),
-        (Err(a), Ok(())) | (Ok(()), Err(a)) => Err(a),
-    }
-}
-
-/// Resumes a contained panic, panics on other failures — the infallible
-/// shims' finishing move (mirrors the streams front-end).
-fn finish<R>(result: Result<R, ExecError>, op: &str) -> R {
-    match result {
-        Ok(v) => v,
-        Err(ExecError::Panicked(payload)) => std::panic::resume_unwind(payload),
-        Err(e) => {
-            panic!("power search {op} failed: {e}; use the try_ variant for fallible execution")
+            break;
         }
     }
+    ((), LeafRoute::Template, scanned)
+}
+
+/// The search walk: a node is a view, pruned at entry by the `Found`
+/// trip and the physical-index bound; there is no combine work. The
+/// sequential executor runs it as one whole-view leaf.
+struct PowerScan<F: PowerSearchFunction> {
+    f: F,
+    sink: Arc<PowerSink<F::Elem>>,
+    /// The run's private token, which decisive hits trip with `Found`.
+    token: CancelToken,
+}
+
+impl<F: PowerSearchFunction> TreeWalk for PowerScan<F> {
+    type Node = PowerView<F::Elem>;
+    type Out = ();
+    type Join = ();
+    type Session = SearchSession;
+    const COMBINES: bool = false;
+
+    fn exact_size(&self, input: &Self::Node) -> Option<usize> {
+        Some(input.len())
+    }
+
+    fn prune(&self, input: &Self::Node, answered: bool) -> Option<()> {
+        // Every physical index in the view is ≥ start (incr ≥ 1), under
+        // zip interleaving too.
+        (answered || self.sink.bound() <= input.start()).then_some(())
+    }
+
+    fn split(&self, input: Self::Node) -> Result<Halves<Self>, Self::Node> {
+        match self.f.decomposition().halves(&input) {
+            Some((l, r)) => Ok((l, r, ())),
+            None => Err(input),
+        }
+    }
+
+    fn leaf(&self, input: Self::Node) -> ((), LeafRoute, u64) {
+        scan(&self.f, &input, &self.sink, &self.token)
+    }
+
+    fn combine(&self, (): (), (): (), (): ()) {}
 }
 
 /// An execution strategy for [`PowerSearchFunction`]s: the quantifier
@@ -359,9 +263,9 @@ pub trait SearchExecutor {
     where
         F: PowerSearchFunction + Clone + Sync,
     {
-        finish(
+        finish_infallible(
             self.try_find_first(f, input, &ExecConfig::par()),
-            "find_first",
+            "power search find_first",
         )
     }
 
@@ -370,7 +274,10 @@ pub trait SearchExecutor {
     where
         F: PowerSearchFunction + Clone + Sync,
     {
-        finish(self.try_find_any(f, input, &ExecConfig::par()), "find_any")
+        finish_infallible(
+            self.try_find_any(f, input, &ExecConfig::par()),
+            "power search find_any",
+        )
     }
 
     /// Infallible `any_match`.
@@ -378,9 +285,9 @@ pub trait SearchExecutor {
     where
         F: PowerSearchFunction + Clone + Sync,
     {
-        finish(
+        finish_infallible(
             self.try_any_match(f, input, &ExecConfig::par()),
-            "any_match",
+            "power search any_match",
         )
     }
 
@@ -389,9 +296,9 @@ pub trait SearchExecutor {
     where
         F: PowerSearchFunction + Clone + Sync,
     {
-        finish(
+        finish_infallible(
             self.try_all_match(f, input, &ExecConfig::par()),
-            "all_match",
+            "power search all_match",
         )
     }
 
@@ -400,27 +307,47 @@ pub trait SearchExecutor {
     where
         F: PowerSearchFunction + Clone + Sync,
     {
-        finish(
+        finish_infallible(
             self.try_none_match(f, input, &ExecConfig::par()),
-            "none_match",
+            "power search none_match",
         )
     }
 }
 
-impl SequentialExecutor {
-    fn try_search<F>(
-        &self,
-        f: &F,
-        input: &PowerView<F::Elem>,
-        sink: &PowerSink<F::Elem>,
-        cfg: &ExecConfig,
-    ) -> Result<(), ExecError>
-    where
-        F: PowerSearchFunction,
-    {
-        let session = SearchSession::new(cfg);
-        try_search_sequential(f, input, sink, &session).map_err(|i| session.error_of(i))
-    }
+/// Shared driver of both find terminals on both executors: `sink`'s
+/// answer once the run has quiesced. The fork-join executor degrades
+/// and submits exactly as
+/// [`Executor::try_execute`](crate::executor::Executor::try_execute),
+/// with the search walk in place of the template; the sequential
+/// executor, or a fork-join one whose pool is unavailable, scans the
+/// whole view as one guarded leaf.
+fn try_find<F>(
+    exec: Option<&ForkJoinExecutor>,
+    f: &F,
+    input: &PowerView<F::Elem>,
+    sink: PowerSink<F::Elem>,
+    cfg: &ExecConfig,
+) -> Result<Option<F::Elem>, ExecError>
+where
+    F: PowerSearchFunction + Clone,
+{
+    let session = SearchSession::new(cfg);
+    let sink = Arc::new(sink);
+    let scan = PowerScan {
+        f: f.clone(),
+        sink: Arc::clone(&sink),
+        token: session.token().clone(),
+    };
+    let pool = exec.and_then(|e| walk::live_pool(Some(e.pool()), cfg).map(|p| (e, p)));
+    let result = match pool {
+        None => walk::sequential(&scan, input.clone(), &session),
+        Some((exec, pool)) => {
+            let policy = exec.resolve_policy(std::any::type_name::<F>(), input.len());
+            walk::on_pool(pool, scan, input.clone(), policy, &session)
+        }
+    };
+    result.map_err(|i| session.error_of(i))?;
+    Ok(sink.take())
 }
 
 impl SearchExecutor for SequentialExecutor {
@@ -433,9 +360,7 @@ impl SearchExecutor for SequentialExecutor {
     where
         F: PowerSearchFunction + Clone + Sync,
     {
-        let sink = PowerSink::First(FirstHit::new());
-        self.try_search(f, input, &sink, cfg)?;
-        Ok(sink.take())
+        try_find(None, f, input, PowerSink::First(FirstHit::new()), cfg)
     }
 
     fn try_find_any<F>(
@@ -448,68 +373,7 @@ impl SearchExecutor for SequentialExecutor {
         F: PowerSearchFunction + Clone + Sync,
     {
         // A sequential scan's first hit is also the logically first.
-        let sink = PowerSink::Any(Mutex::new(None));
-        self.try_search(f, input, &sink, cfg)?;
-        Ok(sink.take())
-    }
-}
-
-impl ForkJoinExecutor {
-    /// Shared driver for both find terminals: graceful degradation and
-    /// pool submission exactly as
-    /// [`Executor::try_execute`](crate::executor::Executor::try_execute),
-    /// with the search recursion in place of the reduction.
-    fn try_search<F>(
-        &self,
-        f: &F,
-        input: &PowerView<F::Elem>,
-        sink: Arc<PowerSink<F::Elem>>,
-        cfg: &ExecConfig,
-    ) -> Result<(), ExecError>
-    where
-        F: PowerSearchFunction + Clone + Sync,
-    {
-        let session = SearchSession::new(cfg);
-        let fallback = if self.pool().is_shut_down() {
-            Some(FallbackReason::SubmitFailed)
-        } else if cfg
-            .fallback_threshold()
-            .is_some_and(|t| self.pool().queued_tasks() > t)
-        {
-            Some(FallbackReason::PoolSaturated)
-        } else {
-            None
-        };
-        let result = match fallback {
-            Some(reason) => {
-                plobs::emit(Event::Fallback { reason });
-                try_search_sequential(f, input, &sink, &session)
-            }
-            None => {
-                let policy = self.resolve_policy(std::any::type_name::<F>(), input.len());
-                let f = Arc::new(f.clone());
-                let input = input.clone();
-                let s2 = session.clone();
-                match self.pool().try_install(move || {
-                    let probe = forkjoin::current_probe();
-                    let threads = probe
-                        .as_ref()
-                        .map_or_else(|| forkjoin::global_pool().threads(), |p| p.threads());
-                    let cap = policy.depth_cap(threads);
-                    let steals = probe.map_or(0, |p| p.steal_pressure());
-                    try_search_par(f, input, sink, policy, cap, 0, steals, &s2)
-                }) {
-                    Ok(r) => r,
-                    Err(g) => {
-                        plobs::emit(Event::Fallback {
-                            reason: FallbackReason::SubmitFailed,
-                        });
-                        g()
-                    }
-                }
-            }
-        };
-        result.map_err(|i| session.error_of(i))
+        try_find(None, f, input, PowerSink::Any(Mutex::new(None)), cfg)
     }
 }
 
@@ -523,9 +387,7 @@ impl SearchExecutor for ForkJoinExecutor {
     where
         F: PowerSearchFunction + Clone + Sync,
     {
-        let sink = Arc::new(PowerSink::First(FirstHit::new()));
-        self.try_search(f, input, Arc::clone(&sink), cfg)?;
-        Ok(sink.take())
+        try_find(Some(self), f, input, PowerSink::First(FirstHit::new()), cfg)
     }
 
     fn try_find_any<F>(
@@ -537,9 +399,7 @@ impl SearchExecutor for ForkJoinExecutor {
     where
         F: PowerSearchFunction + Clone + Sync,
     {
-        let sink = Arc::new(PowerSink::Any(Mutex::new(None)));
-        self.try_search(f, input, Arc::clone(&sink), cfg)?;
-        Ok(sink.take())
+        try_find(Some(self), f, input, PowerSink::Any(Mutex::new(None)), cfg)
     }
 }
 

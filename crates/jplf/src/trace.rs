@@ -16,7 +16,7 @@
 //! installed globally, so concurrent traced runs cannot cross-talk —
 //! and condenses the report into the small [`PhaseTrace`] summary.
 
-use crate::function::{Decomp, PowerFunction};
+use crate::function::PowerFunction;
 use plobs::{Event, EventSink, LeafRoute, RunRecorder, RunReport};
 use powerlist::PowerView;
 use std::time::Instant;
@@ -116,10 +116,7 @@ fn go<F: PowerFunction>(
 
     // Descending phase.
     let t0 = Instant::now();
-    let (l, r) = match f.decomposition() {
-        Decomp::Tie => input.untie().expect("non-singleton"),
-        Decomp::Zip => input.unzip().expect("non-singleton"),
-    };
+    let (l, r) = f.decomposition().halves(input).expect("non-singleton");
     let (fl, fr) = (f.create_left(), f.create_right());
     let transformed = f.transform_halves(&l, &r);
     sink.record(&Event::Split {
@@ -152,6 +149,7 @@ fn go<F: PowerFunction>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::function::Decomp;
     use powerlist::{tabulate, PowerList, PowerView};
 
     #[derive(Clone)]

@@ -22,8 +22,9 @@
 
 //!
 //! All entry points now funnel through one **fallible driver**,
-//! [`try_collect_with`], which executes under an
-//! [`ExecSession`]: user code (leaves,
+//! [`try_collect_with`], whose parallel routes are two kinds of the
+//! shared [`walk`] (splice and placement) and which
+//! executes under an [`ExecSession`]: user code (leaves,
 //! combiners, the finisher) runs under panic containment, and
 //! cooperative checkpoints at split, leaf-entry and combine points
 //! observe cancellation and deadlines. The historical
@@ -36,10 +37,11 @@ use crate::collector::Collector;
 use crate::exec::{unwrap_interrupt, ExecConfig, ExecError, ExecMode, ExecSession, Interrupt};
 use crate::placement::{descend, fixed_leaves, OutputBuffer, PlacementSpec, Window, WindowRule};
 use crate::spliterator::{ItemSource, Spliterator};
-use forkjoin::{current_probe, demand_split, join, ForkJoinPool, SplitPolicy};
-use plobs::{Event, FallbackReason, LeafRoute};
+use crate::walk::{self, Halves, TreeWalk};
+use forkjoin::{ForkJoinPool, SplitPolicy};
+use plobs::LeafRoute;
+use std::marker::PhantomData;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Wraps an [`ItemSource`] to count the elements actually delivered to
 /// the consuming collector — the only correct `items` figure for a leaf
@@ -83,15 +85,24 @@ impl<T> ItemSource<T> for CountingSource<'_, T> {
 /// the cloning drain ([`Collector::leaf`]) runs as before.
 ///
 /// When an observability sink is installed (`plobs`), every leaf emits
-/// one [`Event::Leaf`] tagged with the route taken; timing and size
-/// queries are skipped entirely when no sink is listening.
+/// one [`Event::Leaf`](plobs::Event::Leaf) tagged with the route taken;
+/// timing and size queries are skipped entirely when no sink is
+/// listening.
 pub fn run_leaf<T, S, C>(source: &mut S, collector: &C) -> C::Acc
 where
     S: Spliterator<T>,
     C: Collector<T> + ?Sized,
 {
-    let observe = plobs::enabled();
-    let start = if observe { Some(Instant::now()) } else { None };
+    walk::record_leaf(|| leaf_route(source, collector))
+}
+
+/// [`run_leaf`] without the event: the accumulator, the route taken and
+/// the elements that reached the accumulator.
+fn leaf_route<T, S, C>(source: &mut S, collector: &C) -> (C::Acc, LeafRoute, u64)
+where
+    S: Spliterator<T>,
+    C: Collector<T> + ?Sized,
+{
     let done = match source.try_as_strided() {
         // A step-1 run is contiguous: prefer the slice kernel, but a
         // strided-only collector must still get the zero-copy path —
@@ -126,16 +137,16 @@ where
             .fused_leaf(collector)
             .map(|(acc, n)| (acc, LeafRoute::FusedBorrow, n))
     });
-    let (acc, route, items) = match done {
-        Some((acc, route, n)) => {
+    match done {
+        Some(done) => {
             source.mark_drained();
-            (acc, route, n)
+            done
         }
         // Cloning drain: the borrow length is not available, and for
         // non-SIZED sources `estimate_size` is only an upper bound — so
         // count what the collector actually receives (observed runs
         // only; the unobserved path stays wrapper-free).
-        None if observe => {
+        None if plobs::enabled() => {
             let mut counting = CountingSource {
                 inner: source,
                 count: 0,
@@ -145,15 +156,7 @@ where
             (acc, LeafRoute::CloningDrain, n)
         }
         None => (collector.leaf(source), LeafRoute::CloningDrain, 0),
-    };
-    if let Some(start) = start {
-        plobs::emit(Event::Leaf {
-            route,
-            items,
-            ns: start.elapsed().as_nanos() as u64,
-        });
     }
-    acc
 }
 
 /// Sequential collect: drains the spliterator without splitting, through
@@ -217,6 +220,37 @@ fn default_policy<T, S: Spliterator<T>>(source: &S, threads: usize) -> SplitPoli
     })
 }
 
+/// The split policy of a parallel streams run on `pool`. An explicit
+/// `with_split_policy` / `with_leaf_size` always wins; otherwise a tuner
+/// attached via `auto_tune` resolves a cached (or freshly calibrated)
+/// plan, with `kind` labelling the terminal in the fingerprint;
+/// otherwise `default`. The fingerprint's size/`sized` pair comes from
+/// `exact_size()`, so a non-SIZED upper bound is bucketed as inexact,
+/// not mistaken for a real length.
+pub(crate) fn resolve_policy<T, S: Spliterator<T>>(
+    cfg: &ExecConfig,
+    pool: &ForkJoinPool,
+    source: &S,
+    kind: &str,
+    default: impl FnOnce() -> SplitPolicy,
+) -> SplitPolicy {
+    cfg.policy()
+        .or_else(|| {
+            cfg.tuner().and_then(|cache| {
+                let exact = source.exact_size();
+                let fp = pltune::Fingerprint::new(
+                    std::any::type_name::<S>(),
+                    kind,
+                    exact.unwrap_or_else(|| source.estimate_size()),
+                    exact.is_some(),
+                    pool.threads(),
+                );
+                pltune::resolve(cache, pool, &fp)
+            })
+        })
+        .unwrap_or_else(default)
+}
+
 /// Parallel collect on `pool` with the static policy: recursively splits
 /// to `leaf_size` (for `SIZED` sources; to the depth cap otherwise), runs
 /// leaves through the collector, and combines sibling results — encounter
@@ -275,13 +309,8 @@ where
     C::Acc: 'static,
 {
     let session = ExecSession::default();
-    let acc = unwrap_interrupt(try_par_core(
-        pool,
-        source,
-        Arc::clone(&collector),
-        policy,
-        &session,
-    ));
+    let splice = Splice::new(Arc::clone(&collector));
+    let acc = unwrap_interrupt(walk::on_pool(pool, splice, source, policy, &session));
     unwrap_interrupt(session.run(|| collector.finish(acc)))
 }
 
@@ -322,234 +351,84 @@ where
 {
     let session = ExecSession::new(cfg);
     let collector = Arc::new(collector);
-    let acc = match cfg.mode() {
-        ExecMode::Seq => {
+    let pool = match cfg.mode() {
+        ExecMode::Seq => None,
+        ExecMode::Par => walk::live_pool(cfg.pool().map(|p| &**p), cfg),
+    };
+    let acc = match pool {
+        None => {
             let mut source = source;
             if let Some(out) = try_placement_single(&mut source, &*collector, cfg, &session) {
                 return out;
             }
             try_leaf_all(&mut source, &*collector, &session)
         }
-        ExecMode::Par => {
-            let global;
-            let pool: &ForkJoinPool = match cfg.pool() {
-                Some(p) => p,
-                None => {
-                    global = forkjoin::global_pool();
-                    global
-                }
-            };
-            let fallback = if pool.is_shut_down() {
-                Some(FallbackReason::SubmitFailed)
-            } else if cfg
-                .fallback_threshold()
-                .is_some_and(|t| pool.queued_tasks() > t)
-            {
-                Some(FallbackReason::PoolSaturated)
-            } else {
-                None
-            };
-            match fallback {
-                Some(reason) => {
-                    plobs::emit(Event::Fallback { reason });
-                    let mut source = source;
-                    if let Some(out) = try_placement_single(&mut source, &*collector, cfg, &session)
-                    {
-                        return out;
-                    }
-                    try_leaf_all(&mut source, &*collector, &session)
-                }
-                None => {
-                    // Policy precedence: an explicit `with_split_policy`
-                    // / `with_leaf_size` always wins; otherwise a tuner
-                    // attached via `auto_tune` resolves a cached (or
-                    // freshly calibrated) plan; otherwise
-                    // `default_policy`. The fingerprint's size/`sized` pair
-                    // comes from `exact_size()` so a non-SIZED upper
-                    // bound is bucketed as inexact, not mistaken for a
-                    // real length.
-                    let policy = cfg
-                        .policy()
-                        .or_else(|| {
-                            cfg.tuner().and_then(|cache| {
-                                let exact = source.exact_size();
-                                let fp = pltune::Fingerprint::new(
-                                    std::any::type_name::<S>(),
-                                    std::any::type_name::<C>(),
-                                    exact.unwrap_or_else(|| source.estimate_size()),
-                                    exact.is_some(),
-                                    pool.threads(),
-                                );
-                                pltune::resolve(cache, pool, &fp)
-                            })
-                        })
-                        .unwrap_or_else(|| default_policy(&source, pool.threads()));
-                    // Destination-passing route: when the collector and
-                    // pipeline are eligible, allocate the output once
-                    // and write leaves straight into disjoint windows.
-                    // Non-eligible pipelines fall through to the splice
-                    // recursion untouched.
-                    match try_placement_par(pool, source, &collector, policy, cfg, &session) {
-                        PlacementOutcome::Done(out) => return out,
-                        PlacementOutcome::Splice(source) => {
-                            try_par_core(pool, source, Arc::clone(&collector), policy, &session)
-                        }
-                    }
-                }
-            }
-        }
-    };
-    match acc {
-        Ok(acc) => session
-            .run(|| collector.finish(acc))
-            .map_err(|i| session.error_of(i)),
-        Err(i) => Err(session.error_of(i)),
-    }
-}
-
-/// Submits the fallible recursion to `pool`. If the submission itself is
-/// lost to a shutdown race, the closure is handed back unexecuted
-/// ([`ForkJoinPool::try_install`]) and runs on the calling thread as a
-/// recorded fallback (its joins migrate to the global pool).
-pub(crate) fn try_par_core<T, S, C>(
-    pool: &ForkJoinPool,
-    source: S,
-    collector: Arc<C>,
-    policy: SplitPolicy,
-    session: &ExecSession,
-) -> Result<C::Acc, Interrupt>
-where
-    T: Send + 'static,
-    S: Spliterator<T> + 'static,
-    C: Collector<T> + 'static,
-    C::Acc: 'static,
-{
-    let s2 = session.clone();
-    match pool.try_install(move || {
-        // The depth cap must budget the pool that actually *executes*
-        // the recursion, which is not always `pool`: on the shutdown
-        // race below the unexecuted closure runs on the caller, where
-        // joins stay on the caller's own pool (worker thread) or
-        // migrate to the global pool (external thread). Deriving the
-        // cap from the executing context here — instead of capturing
-        // `pool.threads()` outside — keeps the fallback from splitting
-        // for a dead pool's width.
-        let probe = current_probe();
-        let threads = probe
-            .as_ref()
-            .map_or_else(|| forkjoin::global_pool().threads(), |p| p.threads());
-        let cap = policy.depth_cap(threads);
-        let steals = probe.map_or(0, |p| p.steal_pressure());
-        try_recurse(source, collector, policy, cap, 0, steals, &s2)
-    }) {
-        Ok(acc) => acc,
-        Err(f) => {
-            plobs::emit(Event::Fallback {
-                reason: FallbackReason::SubmitFailed,
+        Some(pool) => {
+            let policy = resolve_policy(cfg, pool, &source, std::any::type_name::<C>(), || {
+                default_policy(&source, pool.threads())
             });
-            f()
+            // Destination-passing route: when the collector and
+            // pipeline are eligible, allocate the output once and write
+            // leaves straight into disjoint windows. Non-eligible
+            // pipelines fall through to the splice walk untouched.
+            match try_placement_par(pool, source, &collector, policy, cfg, &session) {
+                PlacementOutcome::Done(out) => return out,
+                PlacementOutcome::Splice(source) => {
+                    let splice = Splice::new(Arc::clone(&collector));
+                    walk::on_pool(pool, splice, source, policy, &session)
+                }
+            }
+        }
+    };
+    acc.and_then(|acc| session.run(|| collector.finish(acc)))
+        .map_err(|i| session.error_of(i))
+}
+
+/// The splice collect walk: leaves run the collector's kernels
+/// ([`run_leaf`]'s routes) and combines splice sibling containers.
+struct Splice<T, S, C> {
+    collector: Arc<C>,
+    items: PhantomData<fn(S) -> T>,
+}
+
+impl<T, S, C> Splice<T, S, C> {
+    fn new(collector: Arc<C>) -> Self {
+        Splice {
+            collector,
+            items: PhantomData,
         }
     }
 }
 
-fn try_recurse<T, S, C>(
-    mut source: S,
-    collector: Arc<C>,
-    policy: SplitPolicy,
-    cap: u32,
-    depth: u32,
-    steals_seen: u64,
-    session: &ExecSession,
-) -> Result<C::Acc, Interrupt>
+impl<T, S, C> TreeWalk for Splice<T, S, C>
 where
     T: Send + 'static,
     S: Spliterator<T> + 'static,
     C: Collector<T> + 'static,
     C::Acc: 'static,
 {
-    // Node-entry checkpoint: covers both the split decision and leaf
-    // entry, so a cancelled run prunes whole subtrees here (one
-    // `Event::Cancel` per pruned node).
-    session.check()?;
-    // The size-based stop is only sound when the size is exact
-    // (`exact_size()` is `Some` iff SIZED): for non-SIZED sources
-    // (filter adapters, skip residues) the estimate is an upper bound,
-    // and stopping on it would serialize surviving work into one
-    // oversized leaf. Unsized sources descend to the depth cap and let
-    // `try_split` refusal terminate.
-    let exact = source.exact_size();
-    let mut steals_next = steals_seen;
-    let stop = match policy {
-        SplitPolicy::Fixed(leaf_size) => match exact {
-            Some(size) => size <= leaf_size,
-            None => depth >= cap,
-        },
-        SplitPolicy::Adaptive(a) => {
-            if depth >= cap || exact.is_some_and(|size| size <= a.min_leaf) {
-                true
-            } else {
-                let (wants_split, now) = demand_split(a.surplus, steals_seen);
-                steals_next = now;
-                !wants_split
-            }
-        }
-    };
-    if stop {
-        return session.run(|| run_leaf(&mut source, &*collector));
+    type Node = S;
+    type Out = C::Acc;
+    type Join = ();
+    type Session = ExecSession;
+
+    fn exact_size(&self, source: &S) -> Option<usize> {
+        source.exact_size()
     }
-    let observe = plobs::enabled();
-    let descend_start = if observe { Some(Instant::now()) } else { None };
-    match source.try_split() {
-        None => session.run(|| run_leaf(&mut source, &*collector)),
-        Some(prefix) => {
-            if let Some(start) = descend_start {
-                plobs::emit(Event::Split {
-                    depth,
-                    adaptive: policy.is_adaptive(),
-                });
-                plobs::emit(Event::DescendNs {
-                    ns: start.elapsed().as_nanos() as u64,
-                });
-            }
-            let c_left = Arc::clone(&collector);
-            let c_right = Arc::clone(&collector);
-            let s_left = session.clone();
-            let s_right = session.clone();
-            let (left, right) = join(
-                move || try_recurse(prefix, c_left, policy, cap, depth + 1, steals_next, &s_left),
-                move || {
-                    try_recurse(
-                        source,
-                        c_right,
-                        policy,
-                        cap,
-                        depth + 1,
-                        steals_next,
-                        &s_right,
-                    )
-                },
-            );
-            // Both halves have quiesced; merge their interrupts so a
-            // panic payload always outranks a cancellation.
-            let (left, right) = match (left, right) {
-                (Ok(l), Ok(r)) => (l, r),
-                (Err(a), Err(b)) => return Err(a.merge(b)),
-                (Err(a), Ok(_)) | (Ok(_), Err(a)) => return Err(a),
-            };
-            // Combine checkpoint: skip the (possibly expensive) merge
-            // of results that are already doomed to be discarded.
-            session.check()?;
-            let combine_start = if observe { Some(Instant::now()) } else { None };
-            let out = session.run(|| collector.combine(left, right))?;
-            if let Some(start) = combine_start {
-                plobs::emit(Event::Combine {
-                    depth,
-                    ns: start.elapsed().as_nanos() as u64,
-                    placement: false,
-                });
-            }
-            Ok(out)
+
+    fn split(&self, mut source: S) -> Result<Halves<Self>, S> {
+        match source.try_split() {
+            Some(prefix) => Ok((prefix, source, ())),
+            None => Err(source),
         }
+    }
+
+    fn leaf(&self, mut source: S) -> (C::Acc, LeafRoute, u64) {
+        leaf_route(&mut source, &*self.collector)
+    }
+
+    fn combine(&self, (): (), left: C::Acc, right: C::Acc) -> C::Acc {
+        self.collector.combine(left, right)
     }
 }
 
@@ -636,14 +515,16 @@ where
     let buf = collector.try_reserve(slots)?;
     let res = session
         .check()
-        .and_then(|()| session.run(|| placement_leaf(source, &*buf, Window::root(slots))))
-        .and_then(|_| session.run(|| buf.finish()));
+        .and_then(|()| {
+            session.run(|| walk::record_leaf(|| placement_leaf(source, &*buf, Window::root(slots))))
+        })
+        .and_then(|()| session.run(|| buf.finish()));
     Some(res.map_err(|i| session.error_of(i)))
 }
 
 /// Outcome of the parallel placement attempt: either the route ran to
 /// completion (or to a contained error), or the pipeline was handed
-/// back untouched for the splice recursion.
+/// back untouched for the splice walk.
 enum PlacementOutcome<S, O> {
     Done(Result<O, ExecError>),
     Splice(S),
@@ -686,66 +567,70 @@ where
     let Some(buf) = collector.try_reserve(slots) else {
         return PlacementOutcome::Splice(source);
     };
-    let res = try_par_core_placement(
-        pool,
-        source,
-        Arc::clone(collector),
-        Arc::clone(&buf),
-        Window::root(slots),
-        plan.spec,
+    let place = Place {
+        collector: Arc::clone(collector),
+        buf: Arc::clone(&buf),
+        spec: plan.spec,
         gap_leaf,
-        policy,
-        session,
-    );
-    let out = match res {
-        Ok(()) => session
-            .run(|| buf.finish())
-            .map_err(|i| session.error_of(i)),
-        Err(i) => Err(session.error_of(i)),
+        source: PhantomData,
     };
+    let root = (source, Window::root(slots));
+    let out = walk::on_pool(pool, place, root, policy, session)
+        .and_then(|()| session.run(|| buf.finish()))
+        .map_err(|i| session.error_of(i));
     PlacementOutcome::Done(out)
 }
 
-/// Placement analogue of [`try_par_core`]: submits the window-passing
-/// recursion, deriving the depth cap from the executing context (the
-/// same shutdown-race contract).
-#[allow(clippy::too_many_arguments)]
-fn try_par_core_placement<T, S, C>(
-    pool: &ForkJoinPool,
-    source: S,
+/// The window-passing collect walk: splits descend the output window
+/// along the collector's combine algebra, leaves write into their
+/// window, and the ascend phase is the buffer's constant-size `combine`
+/// instead of a splice.
+struct Place<T, S, C: Collector<T>> {
     collector: Arc<C>,
     buf: Arc<dyn OutputBuffer<T, C::Out>>,
-    w: Window,
     spec: PlacementSpec,
+    /// The fixed leaf size separator budgets are predicted for (`0` when
+    /// the collector inserts no separators).
     gap_leaf: usize,
-    policy: SplitPolicy,
-    session: &ExecSession,
-) -> Result<(), Interrupt>
+    source: PhantomData<fn(S)>,
+}
+
+impl<T, S, C> TreeWalk for Place<T, S, C>
 where
     T: Send + 'static,
     S: Spliterator<T> + 'static,
     C: Collector<T> + 'static,
     C::Out: 'static,
 {
-    let s2 = session.clone();
-    match pool.try_install(move || {
-        let probe = current_probe();
-        let threads = probe
-            .as_ref()
-            .map_or_else(|| forkjoin::global_pool().threads(), |p| p.threads());
-        let cap = policy.depth_cap(threads);
-        let steals = probe.map_or(0, |p| p.steal_pressure());
-        try_recurse_placement(
-            source, collector, buf, w, spec, gap_leaf, policy, cap, 0, steals, &s2,
-        )
-    }) {
-        Ok(r) => r,
-        Err(f) => {
-            plobs::emit(Event::Fallback {
-                reason: FallbackReason::SubmitFailed,
-            });
-            f()
-        }
+    type Node = (S, Window);
+    type Out = ();
+    /// The parent window and its left child's slot count.
+    type Join = (Window, usize);
+    type Session = ExecSession;
+    const PLACEMENT: bool = true;
+
+    fn exact_size(&self, (source, _): &(S, Window)) -> Option<usize> {
+        source.exact_size()
+    }
+
+    fn split(&self, (mut source, w): (S, Window)) -> Result<Halves<Self>, (S, Window)> {
+        let Some(prefix) = source.try_split() else {
+            return Err((source, w));
+        };
+        // Window bookkeeping (including the non-unit measure of the
+        // left run) is descend-phase work: a violated window invariant
+        // panics here, contained like any split.
+        let left_slots = left_slot_count(&prefix, &*self.collector, self.spec, self.gap_leaf, w);
+        let (w_left, w_right) = descend(w, self.spec.rule, left_slots, self.spec.gap);
+        Ok(((prefix, w_left), (source, w_right), (w, left_slots)))
+    }
+
+    fn leaf(&self, (mut source, w): (S, Window)) -> ((), LeafRoute, u64) {
+        placement_leaf(&mut source, &*self.buf, w)
+    }
+
+    fn combine(&self, (w, left_slots): (Window, usize), (): (), (): ()) {
+        self.buf.combine(w, left_slots)
     }
 }
 
@@ -789,24 +674,18 @@ where
 
 /// One placement leaf: write the leaf's elements straight into its
 /// window — via the borrowed strided run when the source has one, via
-/// the fused push-fill otherwise — and record the
-/// [`LeafRoute::Placement`] event.
-fn placement_leaf<T, O, S>(source: &mut S, buf: &dyn OutputBuffer<T, O>, w: Window) -> u64
+/// the fused push-fill otherwise — on the [`LeafRoute::Placement`]
+/// route.
+fn placement_leaf<T, O, S>(
+    source: &mut S,
+    buf: &dyn OutputBuffer<T, O>,
+    w: Window,
+) -> ((), LeafRoute, u64)
 where
     S: Spliterator<T>,
 {
-    fn fill_strided<T, O, S: Spliterator<T>>(
-        source: &S,
-        buf: &dyn OutputBuffer<T, O>,
-        w: Window,
-    ) -> Option<u64> {
-        let (items, step) = source.try_as_strided()?;
-        Some(buf.fill_run(w, items, step))
-    }
-    let observe = plobs::enabled();
-    let start = if observe { Some(Instant::now()) } else { None };
-    let wrote = match fill_strided(source, buf, w) {
-        Some(n) => n,
+    let wrote = match source.try_as_strided() {
+        Some((items, step)) => buf.fill_run(w, items, step),
         None => buf.fill_with(w, &mut |sink| {
             // The root gate verified `can_fused_fill`, which is stable
             // under splits — a refusal here is a driver bug, and the
@@ -817,144 +696,7 @@ where
         }),
     };
     source.mark_drained();
-    if let Some(start) = start {
-        plobs::emit(Event::Leaf {
-            route: LeafRoute::Placement,
-            items: wrote,
-            ns: start.elapsed().as_nanos() as u64,
-        });
-    }
-    wrote
-}
-
-/// The window-passing recursion: the placement mirror of
-/// [`try_recurse`], with identical stop rules, checkpoints and events —
-/// but leaves write into their window and the ascend phase is the
-/// buffer's (constant-size) `combine` instead of a splice.
-#[allow(clippy::too_many_arguments)]
-fn try_recurse_placement<T, S, C>(
-    mut source: S,
-    collector: Arc<C>,
-    buf: Arc<dyn OutputBuffer<T, C::Out>>,
-    w: Window,
-    spec: PlacementSpec,
-    gap_leaf: usize,
-    policy: SplitPolicy,
-    cap: u32,
-    depth: u32,
-    steals_seen: u64,
-    session: &ExecSession,
-) -> Result<(), Interrupt>
-where
-    T: Send + 'static,
-    S: Spliterator<T> + 'static,
-    C: Collector<T> + 'static,
-    C::Out: 'static,
-{
-    session.check()?;
-    let exact = source.exact_size();
-    let mut steals_next = steals_seen;
-    let stop = match policy {
-        SplitPolicy::Fixed(leaf_size) => match exact {
-            Some(size) => size <= leaf_size,
-            None => depth >= cap,
-        },
-        SplitPolicy::Adaptive(a) => {
-            if depth >= cap || exact.is_some_and(|size| size <= a.min_leaf) {
-                true
-            } else {
-                let (wants_split, now) = demand_split(a.surplus, steals_seen);
-                steals_next = now;
-                !wants_split
-            }
-        }
-    };
-    if stop {
-        return session
-            .run(|| placement_leaf(&mut source, &*buf, w))
-            .map(|_| ());
-    }
-    let observe = plobs::enabled();
-    let descend_start = if observe { Some(Instant::now()) } else { None };
-    match source.try_split() {
-        None => session
-            .run(|| placement_leaf(&mut source, &*buf, w))
-            .map(|_| ()),
-        Some(prefix) => {
-            if let Some(start) = descend_start {
-                plobs::emit(Event::Split {
-                    depth,
-                    adaptive: policy.is_adaptive(),
-                });
-                plobs::emit(Event::DescendNs {
-                    ns: start.elapsed().as_nanos() as u64,
-                });
-            }
-            // Window bookkeeping (including the non-unit measure of the
-            // left run) is descend-phase work; it runs contained so a
-            // violated window invariant surfaces as `Panicked`, never
-            // as an unwind through the pool.
-            let (left_slots, w_left, w_right) = session.run(|| {
-                let left_slots = left_slot_count(&prefix, &*collector, spec, gap_leaf, w);
-                let (w_left, w_right) = descend(w, spec.rule, left_slots, spec.gap);
-                (left_slots, w_left, w_right)
-            })?;
-            let c_left = Arc::clone(&collector);
-            let c_right = Arc::clone(&collector);
-            let b_left = Arc::clone(&buf);
-            let b_right = Arc::clone(&buf);
-            let s_left = session.clone();
-            let s_right = session.clone();
-            let (left, right) = join(
-                move || {
-                    try_recurse_placement(
-                        prefix,
-                        c_left,
-                        b_left,
-                        w_left,
-                        spec,
-                        gap_leaf,
-                        policy,
-                        cap,
-                        depth + 1,
-                        steals_next,
-                        &s_left,
-                    )
-                },
-                move || {
-                    try_recurse_placement(
-                        source,
-                        c_right,
-                        b_right,
-                        w_right,
-                        spec,
-                        gap_leaf,
-                        policy,
-                        cap,
-                        depth + 1,
-                        steals_next,
-                        &s_right,
-                    )
-                },
-            );
-            match (left, right) {
-                (Ok(()), Ok(())) => {}
-                (Err(a), Err(b)) => return Err(a.merge(b)),
-                (Err(a), Ok(())) | (Ok(()), Err(a)) => return Err(a),
-            }
-            session.check()?;
-            let combine_start = if observe { Some(Instant::now()) } else { None };
-            session.run(|| buf.combine(w, left_slots))?;
-            if let Some(start) = combine_start {
-                plobs::emit(Event::Combine {
-                    depth,
-                    ns: start.elapsed().as_nanos() as u64,
-                    placement: true,
-                });
-            }
-            Ok(())
-        }
-    }
+    ((), LeafRoute::Placement, wrote)
 }
 
 #[cfg(test)]
@@ -1367,43 +1109,6 @@ mod tests {
         assert!(
             report.splits > 0,
             "the unsized estimate must not reach the min_leaf cutoff"
-        );
-    }
-
-    #[test]
-    fn submit_race_fallback_recomputes_cap_from_executing_pool() {
-        // `try_par_core`'s shutdown-race fallback runs the recursion on
-        // this (external) thread, with joins migrating to the global
-        // pool. A depth cap captured from the dead 1-thread target pool
-        // (`ceil_log2(1) + 0 = 0` under zero slack) would stop an
-        // adaptive descent at the root with zero splits; the cap must
-        // instead budget the pool that executes.
-        if forkjoin::global_pool().threads() < 2 {
-            return; // single-core runner: both caps coincide
-        }
-        let dead = Arc::new(ForkJoinPool::new(1));
-        dead.shutdown();
-        let policy = SplitPolicy::Adaptive(forkjoin::AdaptiveSplit {
-            min_leaf: 1,
-            depth_slack: 0,
-            ..forkjoin::AdaptiveSplit::default()
-        });
-        let cfg = ExecConfig::par();
-        let session = ExecSession::new(&cfg);
-        let (out, report) = plobs::recorded(|| {
-            try_par_core(
-                &dead,
-                SliceSpliterator::new((0..4096i64).collect()),
-                Arc::new(ReduceCollector::new(0, |a, b| a + b)),
-                policy,
-                &session,
-            )
-        });
-        assert_eq!(out.unwrap(), 4095 * 4096 / 2);
-        assert_eq!(report.fallbacks_submit, 1);
-        assert!(
-            report.splits >= 1,
-            "fallback must split for the executing pool, not the dead target"
         );
     }
 

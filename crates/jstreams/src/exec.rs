@@ -418,19 +418,20 @@ pub(crate) fn unwrap_interrupt<R>(r: Result<R, Interrupt>) -> R {
 }
 
 /// The single definition of infallible-shim semantics: every infallible
-/// terminal (`collect`, `reduce`, `count`, the quantifiers, …) is a
-/// documented shim that calls its fallible `try_` twin and finishes
-/// through here. A contained panic resumes on the caller, exactly as if
-/// the terminal had run inline; any other failure (cancellation,
-/// deadline, shape) aborts with a message pointing at the `try_` twin —
-/// those can only arise when the stream's [`ExecConfig`] armed
-/// fault-tolerance knobs, and callers who arm them should be calling
-/// the fallible surface.
-pub(crate) fn finish_infallible<R>(result: Result<R, ExecError>, op: &str) -> R {
+/// terminal (`collect`, `reduce`, `count`, the quantifiers, …, and the
+/// JPLF executors' `execute` and search terminals) is a documented shim
+/// that calls its fallible `try_` twin and finishes through here. A
+/// contained panic resumes on the caller, exactly as if the terminal
+/// had run inline; any other failure (cancellation, deadline, shape)
+/// aborts with a message naming `op` (e.g. `"stream collect"`) and
+/// pointing at the `try_` twin — those can only arise when an
+/// [`ExecConfig`] armed fault-tolerance knobs, and callers who arm them
+/// should be calling the fallible surface.
+pub fn finish_infallible<R>(result: Result<R, ExecError>, op: &str) -> R {
     match result {
         Ok(v) => v,
         Err(ExecError::Panicked(payload)) => std::panic::resume_unwind(payload),
-        Err(e) => panic!("stream {op} failed: {e}; use the try_ variant for fallible execution"),
+        Err(e) => panic!("{op} failed: {e}; use the try_ variant for fallible execution"),
     }
 }
 

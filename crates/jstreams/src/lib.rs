@@ -57,6 +57,7 @@ pub mod spliterator;
 pub mod stream;
 pub mod tie;
 pub mod truncate;
+pub mod walk;
 pub mod zip;
 
 pub use characteristics::Characteristics;

@@ -38,7 +38,7 @@
 //!   the even positions, not an encounter-order prefix), and it is what
 //!   keeps `find_first` deterministic — and parallel — over
 //!   zip-decomposed power streams (the same protocol as the JPLF
-//!   mirror's physical-index `FirstHit`).
+//!   search's physical-index `FirstHit`).
 //! * **Virtual** — otherwise, indices are derived from split structure:
 //!   at every split, the suffix subtree's base advances by the prefix's
 //!   `estimate_size()`. For non-SIZED pipelines (filter chains) that
@@ -68,17 +68,16 @@
 //! prefix is first in encounter order, a probe hit is globally first
 //! and decisive for every terminal, `find_first` included.
 
-use crate::collect::default_leaf_size;
+use crate::collect::{default_leaf_size, resolve_policy};
 use crate::exec::{ExecConfig, ExecError, ExecMode, ExecSession, Interrupt};
 use crate::spliterator::Spliterator;
-use forkjoin::{
-    current_probe, demand_split, join, CancelReason, CancelToken, ForkJoinPool, SplitPolicy,
-};
+use crate::walk::{self, Halves, TreeWalk, WalkSession};
+use forkjoin::{CancelReason, CancelToken, SplitPolicy};
 use parking_lot::Mutex;
-use plobs::{Event, FallbackReason, LeafRoute};
+use plobs::{Event, LeafRoute};
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// A search run's cancellation context: a fresh private token (the
 /// `Found` short-circuit channel, also used for panic containment)
@@ -86,7 +85,7 @@ use std::time::Instant;
 /// checkpoint, never tripped by the search itself.
 ///
 /// Exposed so the JPLF executors (and concurrency models) can drive
-/// their own search recursions through the exact protocol the streams
+/// their own search walks through the exact protocol the streams
 /// driver uses.
 #[derive(Clone, Debug)]
 pub struct SearchSession {
@@ -160,8 +159,18 @@ impl SearchSession {
     }
 }
 
+impl WalkSession for SearchSession {
+    fn checkpoint(&self) -> Result<bool, Interrupt> {
+        self.check()
+    }
+
+    fn contain<R>(&self, f: impl FnOnce() -> R) -> Result<R, Interrupt> {
+        self.run(f)
+    }
+}
+
 /// Which keyspace a search run's encounter indices live in. Fixed once
-/// at the root before the recursion starts, so every hit and every
+/// at the root before the walk starts, so every hit and every
 /// pruning comparison in one run speaks the same language.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum OrderMode {
@@ -264,7 +273,7 @@ impl<T> FirstHit<T> {
 }
 
 /// Where leaf hits go. One implementation per quantifier family; the
-/// recursion is generic over it so all five terminals share one driver.
+/// walk is generic over it so all five terminals share one driver.
 trait SearchSink<T>: Send + Sync + 'static {
     /// Records a hit on `value` at encounter index `idx` (virtual or
     /// ranked, per the run's [`OrderMode`]). Returns `true` when the
@@ -358,10 +367,9 @@ fn scan_run<T, P: Fn(&T) -> bool>(items: &[T], pred: &P) -> (u64, Option<usize>)
     (done as u64, None)
 }
 
-/// One leaf node of the search recursion: scans the remaining elements
-/// in encounter order under panic containment, stopping at the first
-/// predicate match; the hit is recorded in the sink at its encounter
-/// key (`keys.0 + delivered-position · keys.1`, so virtual keys pass
+/// One search leaf: scans the remaining elements in encounter order,
+/// stopping at the first predicate match; the hit is recorded in the
+/// sink at its encounter key (`keys.0 + delivered-position · keys.1`, so virtual keys pass
 /// `(base, 1)` and ranked leaves pass their `(rank_base, rank_step)`)
 /// and, when decisive, trips `Found` — strictly *after* the sink
 /// recorded it.
@@ -372,107 +380,94 @@ fn scan_run<T, P: Fn(&T) -> bool>(items: &[T], pred: &P) -> (u64, Option<usize>)
 /// the residue class; a fused adapter pipeline drives its chain
 /// push-style over the *underlying* source's borrow
 /// ([`crate::spliterator::LeafAccess::fused_search`]); everything else
-/// takes the per-element cloning drain. Observed runs emit one
-/// [`Event::Leaf`] counting the elements actually delivered to the
-/// predicate (survivors, for filtering chains).
-fn search_leaf<T, S, P, K>(
+/// takes the per-element cloning drain. Returns the leaf's route and
+/// the number of elements actually delivered to the predicate
+/// (survivors, for filtering chains).
+fn scan<T, S, P, K>(
     source: &mut S,
     pred: &P,
     sink: &K,
     keys: (usize, usize),
-    session: &SearchSession,
-) -> Result<(), Interrupt>
+    token: &CancelToken,
+) -> ((), LeafRoute, u64)
 where
     S: Spliterator<T>,
     P: Fn(&T) -> bool,
     K: SearchSink<T> + ?Sized,
 {
     let (key_base, key_step) = keys;
-    let token = session.token().clone();
-    let observe = plobs::enabled();
-    let start = if observe { Some(Instant::now()) } else { None };
-    let (route, items) = session.run(|| {
-        // Record-before-cancel: the sink holds the hit before any
-        // sibling can observe the Found trip. Within a leaf the first
-        // match is the leaf's earliest delivered element, so every sink
-        // stops the scan there.
-        let record = |local: usize, x: &T| {
-            let key = key_base.saturating_add(local.saturating_mul(key_step));
-            if sink.hit(key, x) {
-                token.cancel(CancelReason::Found);
-            }
-        };
-        if let Some((items, step)) = source.try_as_strided() {
-            let (scanned, hit) = if step == 1 {
-                scan_run(items, pred)
-            } else {
-                // Strided residue class (zip leaves): scalar early-exit
-                // scan — these runs are short by construction.
-                let mut scanned = 0u64;
-                let mut hit = None;
-                for (j, x) in items.iter().step_by(step).enumerate() {
-                    scanned += 1;
-                    if pred(x) {
-                        hit = Some(j);
-                        break;
-                    }
-                }
-                (scanned, hit)
-            };
-            let route = if step == 1 {
-                LeafRoute::ZeroCopySlice
-            } else {
-                LeafRoute::ZeroCopyStrided
-            };
-            match hit {
-                Some(local) => record(local, &items[local * step]),
-                None => source.mark_drained(),
-            }
-            return (route, scanned);
+    // Record-before-cancel: the sink holds the hit before any
+    // sibling can observe the Found trip. Within a leaf the first
+    // match is the leaf's earliest delivered element, so every sink
+    // stops the scan there.
+    let record = |local: usize, x: &T| {
+        let key = key_base.saturating_add(local.saturating_mul(key_step));
+        if sink.hit(key, x) {
+            token.cancel(CancelReason::Found);
         }
-        let mut delivered = 0usize;
-        // fused_search leaves a fully-scanned source drained itself.
-        if source
-            .fused_search(&mut |x| {
-                let local = delivered;
-                delivered += 1;
+    };
+    if let Some((items, step)) = source.try_as_strided() {
+        let (scanned, hit) = if step == 1 {
+            scan_run(items, pred)
+        } else {
+            // Strided residue class (zip leaves): scalar early-exit
+            // scan — these runs are short by construction.
+            let mut scanned = 0u64;
+            let mut hit = None;
+            for (j, x) in items.iter().step_by(step).enumerate() {
+                scanned += 1;
                 if pred(x) {
-                    record(local, x);
-                    true
-                } else {
-                    false
+                    hit = Some(j);
+                    break;
                 }
-            })
-            .is_some()
-        {
-            return (LeafRoute::FusedBorrow, delivered as u64);
-        }
-        // Cloning drain: advance one element at a time so a hit stops
-        // the scan with at most one element of overrun.
-        let mut stopped = false;
-        loop {
-            let more = source.try_advance(&mut |x| {
-                let local = delivered;
-                delivered += 1;
-                if !stopped && pred(&x) {
-                    record(local, &x);
-                    stopped = true;
-                }
-            });
-            if stopped || !more {
-                break;
             }
+            (scanned, hit)
+        };
+        let route = if step == 1 {
+            LeafRoute::ZeroCopySlice
+        } else {
+            LeafRoute::ZeroCopyStrided
+        };
+        match hit {
+            Some(local) => record(local, &items[local * step]),
+            None => source.mark_drained(),
         }
-        (LeafRoute::CloningDrain, delivered as u64)
-    })?;
-    if let Some(start) = start {
-        plobs::emit(Event::Leaf {
-            route,
-            items,
-            ns: start.elapsed().as_nanos() as u64,
-        });
+        return ((), route, scanned);
     }
-    Ok(())
+    let mut delivered = 0usize;
+    // fused_search leaves a fully-scanned source drained itself.
+    if source
+        .fused_search(&mut |x| {
+            let local = delivered;
+            delivered += 1;
+            if pred(x) {
+                record(local, x);
+                true
+            } else {
+                false
+            }
+        })
+        .is_some()
+    {
+        return ((), LeafRoute::FusedBorrow, delivered as u64);
+    }
+    // Cloning drain: advance one element at a time so a hit stops
+    // the scan with at most one element of overrun.
+    let mut stopped = false;
+    loop {
+        let more = source.try_advance(&mut |x| {
+            let local = delivered;
+            delivered += 1;
+            if !stopped && pred(&x) {
+                record(local, &x);
+                stopped = true;
+            }
+        });
+        if stopped || !more {
+            break;
+        }
+    }
+    ((), LeafRoute::CloningDrain, delivered as u64)
 }
 
 /// Elements the parallel driver scans *inline on the calling thread*
@@ -523,32 +518,26 @@ where
         plobs::emit(Event::EarlyExit { leaves_pruned: 1 });
         return Ok(Probe::Answered);
     }
-    let token = session.token().clone();
-    let observe = plobs::enabled();
-    let start = if observe { Some(Instant::now()) } else { None };
+    let token = session.token();
     let mut delivered = 0usize;
     let mut hit = false;
     let mut more = true;
     session.run(|| {
-        while more && !hit && delivered < ROOT_PROBE {
-            more = source.try_advance(&mut |x| {
-                let local = delivered;
-                delivered += 1;
-                if !hit && pred(&x) {
-                    sink.hit(local, &x);
-                    token.cancel(CancelReason::Found);
-                    hit = true;
-                }
-            });
-        }
+        walk::record_leaf(|| {
+            while more && !hit && delivered < ROOT_PROBE {
+                more = source.try_advance(&mut |x| {
+                    let local = delivered;
+                    delivered += 1;
+                    if !hit && pred(&x) {
+                        sink.hit(local, &x);
+                        token.cancel(CancelReason::Found);
+                        hit = true;
+                    }
+                });
+            }
+            ((), LeafRoute::CloningDrain, delivered as u64)
+        })
     })?;
-    if let Some(start) = start {
-        plobs::emit(Event::Leaf {
-            route: LeafRoute::CloningDrain,
-            items: delivered as u64,
-            ns: start.elapsed().as_nanos() as u64,
-        });
-    }
     if hit {
         plobs::emit(Event::Cancel {
             reason: CancelReason::Found,
@@ -562,218 +551,86 @@ where
     }
 }
 
-/// The guarded sequential route: one checkpoint, then the whole source
-/// as a single leaf. Also the degradation target when the parallel
-/// route's pool is unavailable or saturated, and the ordered-terminal
-/// escape hatch for *opaque* sources (no encounter rank AND
-/// interleaving splits — e.g. a filter chain over a zip decomposition),
-/// where neither keyspace can order parallel hits but a single
-/// `try_advance` drain is encounter order by definition.
-fn search_leaf_all<T, S, P, K>(
-    source: &mut S,
-    pred: &P,
-    sink: &K,
-    session: &SearchSession,
-) -> Result<(), Interrupt>
-where
-    S: Spliterator<T>,
-    P: Fn(&T) -> bool,
-    K: SearchSink<T> + ?Sized,
-{
-    if session.check()? {
-        plobs::emit(Event::EarlyExit { leaves_pruned: 1 });
-        return Ok(());
-    }
-    // One whole-source leaf: its first delivered match is the global
-    // encounter-order first, so the key lattice `(0, 1)` is exact.
-    search_leaf(source, pred, sink, (0, 1), session)
+/// The streams search walk: node entry observes both the `Found` trip
+/// and the encounter-order bound, and halves merge by interrupt
+/// priority alone (there is no combine work; the answer lives in the
+/// shared sink). A node is a spliterator plus its virtual key base.
+struct Scan<T, S, P, K> {
+    pred: P,
+    sink: Arc<K>,
+    mode: OrderMode,
+    /// The run's private token, which decisive hits trip with `Found`.
+    token: CancelToken,
+    items: PhantomData<fn(S) -> T>,
 }
 
-/// The parallel search recursion — the collect driver's skeleton
-/// (`try_recurse`) with search checkpoints: node entry observes both
-/// the `Found` trip and the encounter-order bound, and sibling results
-/// merge by interrupt priority alone (there is no combine work; the
-/// answer lives in the shared sink).
-#[allow(clippy::too_many_arguments)] // mirrors collect::try_recurse's frame
-fn try_search_recurse<T, S, P, K>(
-    mut source: S,
-    pred: Arc<P>,
-    sink: Arc<K>,
-    policy: SplitPolicy,
-    cap: u32,
-    depth: u32,
-    steals_seen: u64,
-    mode: OrderMode,
-    base: usize,
-    session: &SearchSession,
-) -> Result<(), Interrupt>
+impl<T, S, P, K> Scan<T, S, P, K> {
+    fn new(pred: P, sink: Arc<K>, mode: OrderMode, session: &SearchSession) -> Self {
+        Scan {
+            pred,
+            sink,
+            mode,
+            token: session.token().clone(),
+            items: PhantomData,
+        }
+    }
+}
+
+impl<T, S, P, K> TreeWalk for Scan<T, S, P, K>
 where
     T: Send + 'static,
     S: Spliterator<T> + 'static,
     P: Fn(&T) -> bool + Send + Sync + 'static,
     K: SearchSink<T>,
 {
-    // Node-entry checkpoint: a Found trip prunes this whole subtree as
-    // success (the split decision and leaf entry are both covered, so
-    // this is the "next split/leaf checkpoint" of the contract).
-    if session.check()? {
-        plobs::emit(Event::EarlyExit { leaves_pruned: 1 });
-        return Ok(());
-    }
-    // Encounter-order pruning: everything in this subtree sits at
-    // encounter key ≥ the subtree's key base — the threaded virtual
-    // base, or (Ranked) the node's own rank base, which each split
-    // keeps as the minimum remaining rank. A recorded hit at or before
-    // that base makes the subtree irrelevant. A rank-less node in
-    // Ranked mode (contract violation, asserted in `leaf_keys`)
-    // degrades to base 0, which never wrongly prunes.
-    let prune_base = match mode {
-        OrderMode::Virtual => base,
-        OrderMode::Ranked => source.encounter_rank().map_or(0, |(b, _)| b),
-    };
-    if sink.bound() <= prune_base {
-        plobs::emit(Event::EarlyExit { leaves_pruned: 1 });
-        return Ok(());
-    }
-    // Stop decision — identical to the collect driver: exact sizes may
-    // stop on the leaf threshold; upper-bound estimates descend to the
-    // depth cap and let `try_split` refusal terminate.
-    let exact = source.exact_size();
-    let mut steals_next = steals_seen;
-    let stop = match policy {
-        SplitPolicy::Fixed(leaf_size) => match exact {
-            Some(size) => size <= leaf_size,
-            None => depth >= cap,
-        },
-        SplitPolicy::Adaptive(a) => {
-            if depth >= cap || exact.is_some_and(|size| size <= a.min_leaf) {
-                true
-            } else {
-                let (wants_split, now) = demand_split(a.surplus, steals_seen);
-                steals_next = now;
-                !wants_split
-            }
-        }
-    };
-    if stop {
-        let keys = leaf_keys(&source, mode, base);
-        return search_leaf(&mut source, &*pred, &*sink, keys, session);
-    }
-    let observe = plobs::enabled();
-    let descend_start = if observe { Some(Instant::now()) } else { None };
-    match source.try_split() {
-        None => {
-            let keys = leaf_keys(&source, mode, base);
-            search_leaf(&mut source, &*pred, &*sink, keys, session)
-        }
-        Some(prefix) => {
-            if let Some(start) = descend_start {
-                plobs::emit(Event::Split {
-                    depth,
-                    adaptive: policy.is_adaptive(),
-                });
-                plobs::emit(Event::DescendNs {
-                    ns: start.elapsed().as_nanos() as u64,
-                });
-            }
-            // Virtual keyspace only: the suffix's base advances by the
-            // prefix's estimate — an upper bound on what the prefix can
-            // deliver, which keeps virtual indices strictly increasing
-            // with encounter order across the whole tree (sound because
-            // Virtual mode implies prefix-order splits). Ranked nodes
-            // ignore the threaded base and re-derive their own.
-            let suffix_base = match mode {
-                OrderMode::Virtual => base.saturating_add(prefix.estimate_size()),
-                OrderMode::Ranked => base,
-            };
-            let p_left = Arc::clone(&pred);
-            let p_right = Arc::clone(&pred);
-            let k_left = Arc::clone(&sink);
-            let k_right = Arc::clone(&sink);
-            let s_left = session.clone();
-            let s_right = session.clone();
-            let (left, right) = join(
-                move || {
-                    try_search_recurse(
-                        prefix,
-                        p_left,
-                        k_left,
-                        policy,
-                        cap,
-                        depth + 1,
-                        steals_next,
-                        mode,
-                        base,
-                        &s_left,
-                    )
-                },
-                move || {
-                    try_search_recurse(
-                        source,
-                        p_right,
-                        k_right,
-                        policy,
-                        cap,
-                        depth + 1,
-                        steals_next,
-                        mode,
-                        suffix_base,
-                        &s_right,
-                    )
-                },
-            );
-            // No combine work to skip — merging is interrupt priority
-            // only, so the combine checkpoint of the collect driver has
-            // no analogue here.
-            match (left, right) {
-                (Ok(()), Ok(())) => Ok(()),
-                (Err(a), Err(b)) => Err(a.merge(b)),
-                (Err(a), Ok(())) | (Ok(()), Err(a)) => Err(a),
-            }
-        }
-    }
-}
+    type Node = (S, usize);
+    type Out = ();
+    type Join = ();
+    type Session = SearchSession;
+    const COMBINES: bool = false;
 
-/// Submits the search recursion to `pool`, falling back to the calling
-/// thread when the submission loses a shutdown race — the same recorded
-/// degradation as [`crate::collect::try_par_core`].
-#[allow(clippy::too_many_arguments)] // mirrors try_search_recurse's frame
-fn try_search_par_core<T, S, P, K>(
-    pool: &ForkJoinPool,
-    source: S,
-    pred: Arc<P>,
-    sink: Arc<K>,
-    policy: SplitPolicy,
-    mode: OrderMode,
-    base: usize,
-    session: &SearchSession,
-) -> Result<(), Interrupt>
-where
-    T: Send + 'static,
-    S: Spliterator<T> + 'static,
-    P: Fn(&T) -> bool + Send + Sync + 'static,
-    K: SearchSink<T>,
-{
-    let s2 = session.clone();
-    match pool.try_install(move || {
-        // Budget the depth cap for the pool that actually executes (the
-        // fallback runs on the caller; see collect::try_par_core).
-        let probe = current_probe();
-        let threads = probe
-            .as_ref()
-            .map_or_else(|| forkjoin::global_pool().threads(), |p| p.threads());
-        let cap = policy.depth_cap(threads);
-        let steals = probe.map_or(0, |p| p.steal_pressure());
-        try_search_recurse(source, pred, sink, policy, cap, 0, steals, mode, base, &s2)
-    }) {
-        Ok(r) => r,
-        Err(f) => {
-            plobs::emit(Event::Fallback {
-                reason: FallbackReason::SubmitFailed,
-            });
-            f()
-        }
+    fn exact_size(&self, (source, _): &(S, usize)) -> Option<usize> {
+        source.exact_size()
     }
+
+    fn prune(&self, (source, base): &(S, usize), answered: bool) -> Option<()> {
+        // Encounter-order pruning: everything in this subtree sits at
+        // encounter key ≥ the subtree's key base — the threaded virtual
+        // base, or (Ranked) the node's own rank base, which each split
+        // keeps as the minimum remaining rank. A recorded hit at or
+        // before that base makes the subtree irrelevant. A rank-less
+        // node in Ranked mode (contract violation, asserted in
+        // `leaf_keys`) degrades to base 0, which never wrongly prunes.
+        let prune_base = match self.mode {
+            OrderMode::Virtual => *base,
+            OrderMode::Ranked => source.encounter_rank().map_or(0, |(b, _)| b),
+        };
+        (answered || self.sink.bound() <= prune_base).then_some(())
+    }
+
+    fn split(&self, (mut source, base): (S, usize)) -> Result<Halves<Self>, (S, usize)> {
+        let Some(prefix) = source.try_split() else {
+            return Err((source, base));
+        };
+        // Virtual keyspace only: the suffix's base advances by the
+        // prefix's estimate — an upper bound on what the prefix can
+        // deliver, which keeps virtual indices strictly increasing with
+        // encounter order across the whole tree (sound because Virtual
+        // mode implies prefix-order splits). Ranked nodes ignore the
+        // threaded base and re-derive their own.
+        let suffix_base = match self.mode {
+            OrderMode::Virtual => base.saturating_add(prefix.estimate_size()),
+            OrderMode::Ranked => base,
+        };
+        Ok(((prefix, base), (source, suffix_base), ()))
+    }
+
+    fn leaf(&self, (mut source, base): (S, usize)) -> ((), LeafRoute, u64) {
+        let keys = leaf_keys(&source, self.mode, base);
+        scan(&mut source, &self.pred, &*self.sink, keys, &self.token)
+    }
+
+    fn combine(&self, (): (), (): (), (): ()) {}
 }
 
 /// The unified fallible search driver: mode dispatch, pool resolution,
@@ -793,7 +650,7 @@ where
 /// consult keys decisively, so they keep the parallel route regardless.
 fn try_search_with<T, S, P, K>(
     source: S,
-    pred: Arc<P>,
+    pred: P,
     sink: Arc<K>,
     cfg: &ExecConfig,
     kind: &'static str,
@@ -811,24 +668,16 @@ where
     } else {
         OrderMode::Virtual
     };
+    // Opaque source + ordered terminal: splitting would interleave
+    // encounter order with no ranks to re-sort hits, so correctness wins
+    // over parallelism.
+    let opaque = ordered && mode == OrderMode::Virtual && !source.prefix_splits();
+    let scan = Scan::new(pred, sink, mode, &session);
+    let mut source = source;
     let result = match cfg.mode() {
-        ExecMode::Seq => {
-            let mut source = source;
-            search_leaf_all(&mut source, &*pred, &*sink, &session)
-        }
-        ExecMode::Par if ordered && mode == OrderMode::Virtual && !source.prefix_splits() => {
-            // Opaque source + ordered terminal: splitting would
-            // interleave encounter order with no ranks to re-sort hits,
-            // so correctness wins over parallelism — one sequential
-            // whole-scan (its first delivered match is the global
-            // first).
-            let mut source = source;
-            search_leaf_all(&mut source, &*pred, &*sink, &session)
-        }
-        ExecMode::Par => {
-            let mut source = source;
+        ExecMode::Par if !opaque => {
             let probed = if source.exact_size().is_some() {
-                probe_root(&mut source, &*pred, &*sink, &session)
+                probe_root(&mut source, &scan.pred, &*scan.sink, &session)
             } else {
                 // Non-SIZED (filtering) pipelines skip the probe: one
                 // try_advance may drain the whole underlying source.
@@ -837,64 +686,26 @@ where
             match probed {
                 Err(i) => Err(i),
                 Ok(Probe::Answered) => Ok(()),
-                Ok(Probe::Miss(probed)) => {
-                    let global;
-                    let pool: &ForkJoinPool = match cfg.pool() {
-                        Some(p) => p,
-                        None => {
-                            global = forkjoin::global_pool();
-                            global
-                        }
-                    };
-                    let fallback = if pool.is_shut_down() {
-                        Some(FallbackReason::SubmitFailed)
-                    } else if cfg
-                        .fallback_threshold()
-                        .is_some_and(|t| pool.queued_tasks() > t)
-                    {
-                        Some(FallbackReason::PoolSaturated)
-                    } else {
-                        None
-                    };
-                    match fallback {
-                        Some(reason) => {
-                            plobs::emit(Event::Fallback { reason });
-                            // Degraded single-leaf scan of the (post-
-                            // probe) remainder; in Virtual mode the
-                            // probe consumed the first `probed` keys.
-                            let keys = leaf_keys(&source, mode, probed);
-                            search_leaf(&mut source, &*pred, &*sink, keys, &session)
-                        }
-                        None => {
-                            let policy = cfg
-                                .policy()
-                                .or_else(|| {
-                                    cfg.tuner().and_then(|cache| {
-                                        let exact = source.exact_size();
-                                        let fp = pltune::Fingerprint::new(
-                                            std::any::type_name::<S>(),
-                                            kind,
-                                            exact.unwrap_or_else(|| source.estimate_size()),
-                                            exact.is_some(),
-                                            pool.threads(),
-                                        );
-                                        pltune::resolve(cache, pool, &fp)
-                                    })
-                                })
-                                .unwrap_or_else(|| {
-                                    SplitPolicy::Fixed(default_leaf_size(
-                                        source.estimate_size(),
-                                        pool.threads(),
-                                    ))
-                                });
-                            try_search_par_core(
-                                pool, source, pred, sink, policy, mode, probed, &session,
-                            )
-                        }
+                // The walk continues from the probe's end: in Virtual
+                // mode the probe consumed the first `probed` keys.
+                Ok(Probe::Miss(probed)) => match walk::live_pool(cfg.pool().map(|p| &**p), cfg) {
+                    None => walk::sequential(&scan, (source, probed), &session),
+                    Some(pool) => {
+                        let policy = resolve_policy(cfg, pool, &source, kind, || {
+                            SplitPolicy::Fixed(default_leaf_size(
+                                source.estimate_size(),
+                                pool.threads(),
+                            ))
+                        });
+                        walk::on_pool(pool, scan, (source, probed), policy, &session)
                     }
-                }
+                },
             }
         }
+        // The sequential route, also taken by opaque ordered searches:
+        // one whole-source leaf, whose first delivered match is the
+        // global encounter-order first.
+        _ => walk::sequential(&scan, (source, 0), &session),
     };
     result.map_err(|i| session.error_of(i))
 }
@@ -911,7 +722,7 @@ where
     let sink = Arc::new(ExistsSink::default());
     try_search_with(
         source,
-        Arc::new(pred),
+        pred,
         Arc::clone(&sink),
         cfg,
         "jstreams::search::any_match",
@@ -955,7 +766,7 @@ where
     });
     try_search_with(
         source,
-        Arc::new(|_: &T| true),
+        |_: &T| true,
         Arc::clone(&sink),
         cfg,
         "jstreams::search::find_any",
@@ -979,7 +790,7 @@ where
     });
     try_search_with(
         source,
-        Arc::new(|_: &T| true),
+        |_: &T| true,
         Arc::clone(&sink),
         cfg,
         "jstreams::search::find_first",
@@ -1158,7 +969,7 @@ mod tests {
     #[test]
     fn ranked_zip_recursion_finds_minimal_physical_index() {
         // Exercises the Ranked keyspace below the root probe: the
-        // recursion runs directly over a zip spliterator (interleaving
+        // walk runs directly over a zip spliterator (interleaving
         // parity splits) with single-element leaves, and the FirstHit
         // winner must be the minimal *physical* index — value 1 at rank
         // 1 beats value 2 at rank 2 no matter which leaf lands first.
@@ -1177,17 +988,8 @@ mod tests {
                 hit: FirstHit::new(),
             });
             let session = SearchSession::new(&cfg);
-            try_search_par_core(
-                &p,
-                src,
-                Arc::new(pred),
-                Arc::clone(&sink),
-                SplitPolicy::Fixed(1),
-                OrderMode::Ranked,
-                0,
-                &session,
-            )
-            .unwrap();
+            let scan = Scan::new(pred, Arc::clone(&sink), OrderMode::Ranked, &session);
+            walk::on_pool(&p, scan, (src, 0), SplitPolicy::Fixed(1), &session).unwrap();
             assert_eq!(sink.hit.take(), Some((1, 1)));
         }
     }

@@ -259,7 +259,7 @@ where
         T: Ord + Clone + Sync,
     {
         let cfg = self.cfg.clone();
-        finish_infallible(self.try_min(&cfg), "min")
+        finish_infallible(self.try_min(&cfg), "stream min")
     }
 
     /// Terminal: the fallible minimum — [`Stream::min`] with the full
@@ -278,7 +278,7 @@ where
         T: Ord + Clone + Sync,
     {
         let cfg = self.cfg.clone();
-        finish_infallible(self.try_max(&cfg), "max")
+        finish_infallible(self.try_max(&cfg), "stream max")
     }
 
     /// Terminal: the fallible maximum — [`Stream::max`] with the full
@@ -304,7 +304,7 @@ where
         C::Acc: 'static,
     {
         let cfg = self.cfg.clone();
-        finish_infallible(self.try_collect(collector, &cfg), "collect")
+        finish_infallible(self.try_collect(collector, &cfg), "stream collect")
     }
 
     /// Terminal: the fallible mutable reduction. Runs under `cfg` —
@@ -330,7 +330,7 @@ where
         Op: Fn(T, T) -> T + Send + Sync + 'static,
     {
         let cfg = self.cfg.clone();
-        finish_infallible(self.try_reduce(identity, op, &cfg), "reduce")
+        finish_infallible(self.try_reduce(identity, op, &cfg), "stream reduce")
     }
 
     /// Terminal: the fallible reduction — [`Stream::reduce`] with the
@@ -347,7 +347,7 @@ where
     /// [`Stream::try_count`].
     pub fn count(self) -> usize {
         let cfg = self.cfg.clone();
-        finish_infallible(self.try_count(&cfg), "count")
+        finish_infallible(self.try_count(&cfg), "stream count")
     }
 
     /// Terminal: the fallible element count.
@@ -362,7 +362,7 @@ where
         T: Clone,
     {
         let cfg = self.cfg.clone();
-        finish_infallible(self.try_to_vec(&cfg), "to_vec")
+        finish_infallible(self.try_to_vec(&cfg), "stream to_vec")
     }
 
     /// Terminal: the fallible vector collect.
@@ -381,7 +381,7 @@ where
         F: Fn(T) + Send + Sync + 'static,
     {
         let cfg = self.cfg.clone();
-        finish_infallible(self.try_for_each(f, &cfg), "for_each")
+        finish_infallible(self.try_for_each(f, &cfg), "stream for_each")
     }
 
     /// Terminal: the fallible `for_each` — a panicking `f` is contained
@@ -405,7 +405,7 @@ where
         P: Fn(&T) -> bool + Send + Sync + 'static,
     {
         let cfg = self.cfg.clone();
-        finish_infallible(self.try_any_match(pred, &cfg), "any_match")
+        finish_infallible(self.try_any_match(pred, &cfg), "stream any_match")
     }
 
     /// Short-circuiting terminal: the fallible `any_match`. A panicking
@@ -428,7 +428,7 @@ where
         P: Fn(&T) -> bool + Send + Sync + 'static,
     {
         let cfg = self.cfg.clone();
-        finish_infallible(self.try_all_match(pred, &cfg), "all_match")
+        finish_infallible(self.try_all_match(pred, &cfg), "stream all_match")
     }
 
     /// Short-circuiting terminal: the fallible `all_match`.
@@ -447,7 +447,7 @@ where
         P: Fn(&T) -> bool + Send + Sync + 'static,
     {
         let cfg = self.cfg.clone();
-        finish_infallible(self.try_none_match(pred, &cfg), "none_match")
+        finish_infallible(self.try_none_match(pred, &cfg), "stream none_match")
     }
 
     /// Short-circuiting terminal: the fallible `none_match`.
@@ -473,7 +473,7 @@ where
         T: Clone,
     {
         let cfg = self.cfg.clone();
-        finish_infallible(self.try_find_first(&cfg), "find_first")
+        finish_infallible(self.try_find_first(&cfg), "stream find_first")
     }
 
     /// Short-circuiting terminal: the fallible `find_first`.
@@ -494,7 +494,7 @@ where
         T: Clone,
     {
         let cfg = self.cfg.clone();
-        finish_infallible(self.try_find_any(&cfg), "find_any")
+        finish_infallible(self.try_find_any(&cfg), "stream find_any")
     }
 
     /// Short-circuiting terminal: the fallible `find_any`.

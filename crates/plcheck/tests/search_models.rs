@@ -13,7 +13,7 @@ use std::sync::Arc;
 /// they cancel*: a hit is published to the shared sink strictly before
 /// the token trips. Any task that observes `Found` — in any
 /// interleaving — must therefore find the answer already in the sink.
-/// This is the exact protocol of `search_leaf`'s `record` closure,
+/// This is the exact protocol of `search::scan`'s `record` closure,
 /// modelled with the real `CancelToken` and an any-sink.
 #[test]
 fn found_observers_always_find_a_recorded_hit() {

@@ -2,10 +2,10 @@
 //! that times it.
 //!
 //! The probe is a self-contained recursive reduce built directly on
-//! [`forkjoin::join`] that mirrors the collect driver's recursion: the
-//! same stop rules (`Fixed` stops on exact size, `Adaptive` on depth
-//! cap / `min_leaf` / [`demand_split`] demand), the same
-//! `depth_cap(threads)` bound. It deliberately measures the *machine ×
+//! [`forkjoin::join`], since pltune cannot depend on jstreams' tree
+//! walk. It stops through the walk's own rule,
+//! [`SplitPolicy::should_split`], under the same `depth_cap(threads)`
+//! bound. It deliberately measures the *machine ×
 //! pool × granularity* trade-off rather than the user's workload — the
 //! user's source is consumed by the collect and cannot be re-run, but
 //! split/fork overhead versus leaf amortisation is a property of the
@@ -19,7 +19,7 @@
 //! calibration overhead stays visible in the outer report.
 
 use crate::plan::Plan;
-use forkjoin::{demand_split, ForkJoinPool, SplitPolicy};
+use forkjoin::{ForkJoinPool, SplitPolicy};
 use std::time::Instant;
 
 /// Hard bound on probe recursion depth, over any policy's cap.
@@ -108,8 +108,7 @@ fn leaf_sum(start: u64, len: u64) -> u64 {
     acc
 }
 
-/// The probe recursion: mirrors `try_recurse`'s stop logic over an
-/// exactly-sized synthetic range.
+/// The probe recursion over an exactly-sized synthetic range.
 fn reduce_node(
     start: u64,
     len: u64,
@@ -118,26 +117,12 @@ fn reduce_node(
     policy: SplitPolicy,
     steals_seen: u64,
 ) -> u64 {
-    let mut steals_next = steals_seen;
-    let stop = if len < 2 || depth >= MAX_PROBE_DEPTH {
-        true
+    let (split, steals_next) = if len < 2 || depth >= MAX_PROBE_DEPTH {
+        (false, steals_seen)
     } else {
-        match policy {
-            // The synthetic range is exactly sized, so Fixed stops on
-            // size alone — same as the driver over a SIZED source.
-            SplitPolicy::Fixed(leaf) => len as usize <= leaf,
-            SplitPolicy::Adaptive(a) => {
-                if depth >= cap || len as usize <= a.min_leaf {
-                    true
-                } else {
-                    let (wants_split, now) = demand_split(a.surplus, steals_seen);
-                    steals_next = now;
-                    !wants_split
-                }
-            }
-        }
+        policy.should_split(Some(len as usize), depth, cap, steals_seen)
     };
-    if stop {
+    if !split {
         return leaf_sum(start, len);
     }
     let half = len / 2;

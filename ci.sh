@@ -39,6 +39,16 @@ for _ in $(seq 20); do
     cargo test -q --release -p jstreams --lib walk::tests
 done
 
+echo "==> placement leaves: no per-element dyn sink"
+# A fused placement leaf runs its chain straight into the window's
+# RunWriter (or, for buffers that transform their runs, into a scratch
+# run handed to fill_run). The per-element dyn-sink entry point that
+# route replaced must not come back as a second path.
+if grep -rn 'fill_with' crates/*/src; then
+    echo "fill_with found under crates/*/src" >&2
+    exit 1
+fi
+
 echo "==> perfbench: build and test the repo benchmark"
 # perfbench is a package of its own outside the workspace, so the
 # workspace steps above never compile it; a library API change it uses

@@ -35,7 +35,9 @@
 use crate::characteristics::Characteristics;
 use crate::collector::Collector;
 use crate::exec::{unwrap_interrupt, ExecConfig, ExecError, ExecMode, ExecSession, Interrupt};
-use crate::placement::{descend, fixed_leaves, OutputBuffer, PlacementSpec, Window, WindowRule};
+use crate::placement::{
+    descend, fixed_leaves, OutputBuffer, PlacementBuf, PlacementSpec, Window, WindowRule,
+};
 use crate::spliterator::{ItemSource, Spliterator};
 use crate::walk::{self, Halves, TreeWalk};
 use forkjoin::{ForkJoinPool, SplitPolicy};
@@ -672,10 +674,11 @@ where
     }
 }
 
-/// One placement leaf: write the leaf's elements straight into its
-/// window — via the borrowed strided run when the source has one, via
-/// the fused push-fill otherwise — on the [`LeafRoute::Placement`]
-/// route.
+/// One placement leaf on the [`LeafRoute::Placement`] route. A borrowed
+/// strided run goes to the buffer's `fill_run`. A fused chain runs
+/// straight into the buffer's direct writer; a buffer that transforms
+/// its runs has none, so the chain fills a scratch run that `fill_run`
+/// then takes.
 fn placement_leaf<T, O, S>(
     source: &mut S,
     buf: &dyn OutputBuffer<T, O>,
@@ -684,16 +687,21 @@ fn placement_leaf<T, O, S>(
 where
     S: Spliterator<T>,
 {
-    let wrote = match source.try_as_strided() {
-        Some((items, step)) => buf.fill_run(w, items, step),
-        None => buf.fill_with(w, &mut |sink| {
-            // The root gate verified `can_fused_fill`, which is stable
-            // under splits — a refusal here is a driver bug, and the
-            // panic is contained by the session wrapping every leaf.
-            source
-                .fused_fill(sink)
-                .expect("placement leaf lost its borrowed-fill capability");
-        }),
+    // The root gate verified a borrowed run or `can_fused_fill`, both
+    // stable under splits — a refusal here is a driver bug, and the
+    // panic is contained by the session wrapping every leaf.
+    const LOST: &str = "placement leaf lost its borrowed-fill capability";
+    let wrote = if let Some((items, step)) = source.try_as_strided() {
+        buf.fill_run(w, items, step)
+    } else if let Some(mut writer) = buf.writer(w) {
+        source.fused_fill(&mut writer).expect(LOST)
+    } else {
+        let n = source.estimate_size();
+        let scratch = PlacementBuf::new(n);
+        source
+            .fused_fill(&mut scratch.writer(Window::root(n)))
+            .expect(LOST);
+        buf.fill_run(w, &scratch.finish_vec(), 1)
     };
     source.mark_drained();
     ((), LeafRoute::Placement, wrote)

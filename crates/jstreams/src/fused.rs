@@ -31,6 +31,7 @@
 use crate::characteristics::Characteristics;
 use crate::collector::Collector;
 use crate::ops::{FilterSpliterator, MapSpliterator};
+use crate::placement::RunWriter;
 use crate::power::PowerSpliterator;
 use crate::spliterator::{ItemSource, LeafAccess, SliceSpliterator, Spliterator};
 use crate::tie::TieSpliterator;
@@ -359,30 +360,15 @@ where
         self.chain.exact() && self.source.try_as_strided().is_some()
     }
 
-    fn fused_fill(&mut self, sink: &mut dyn FnMut(U)) -> Option<u64> {
+    fn fused_fill(&mut self, writer: &mut RunWriter<'_, U>) -> Option<u64> {
         if !self.chain.exact() {
             return None;
         }
         let (items, step) = self.source.try_as_strided()?;
-        let chain = &self.chain;
-        let mut delivered: u64 = 0;
-        {
-            let mut sink = |u: U| {
-                delivered += 1;
-                sink(u);
-            };
-            if step == 1 {
-                for x in items {
-                    chain.push(x.clone(), &mut sink);
-                }
-            } else {
-                for x in items.iter().step_by(step) {
-                    chain.push(x.clone(), &mut sink);
-                }
-            }
-        }
+        let before = writer.count();
+        writer.push_chain(items, step, &self.chain);
         self.source.mark_drained();
-        Some(delivered)
+        Some(writer.count() - before)
     }
 
     fn fused_search(&mut self, visit: &mut dyn FnMut(&U) -> bool) -> Option<(bool, u64)> {

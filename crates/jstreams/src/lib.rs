@@ -79,7 +79,7 @@ pub use nway::{
     NWaySpliterator, NZipSpliterator, PListCollector,
 };
 pub use placement::{
-    descend, fixed_leaves, JoiningPlacement, OutputBuffer, PlacementBuf, PlacementSpec,
+    descend, fixed_leaves, JoiningPlacement, OutputBuffer, PlacementBuf, PlacementSpec, RunWriter,
     VecPlacement, Window, WindowRule,
 };
 pub use pltune::{Fingerprint, Plan, PlanCache};

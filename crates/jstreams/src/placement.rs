@@ -48,6 +48,7 @@
 //! exactly-once audit in `finish_vec` re-verifies coverage (fully in
 //! debug builds, by total count in release) before any slot is read.
 
+use crate::fused::{FusedStage, IdentityStage};
 use parking_lot::Mutex;
 use std::mem::MaybeUninit;
 use std::sync::Arc;
@@ -187,6 +188,14 @@ pub fn fixed_leaves(m: usize, leaf_size: usize) -> usize {
 /// object-safe so the recursion can thread one `Arc<dyn OutputBuffer>`
 /// through `forkjoin::join`'s `'static` closures.
 ///
+/// A leaf reaches its window one of two ways. A buffer whose slots *are*
+/// the elements ([`VecPlacement`]) hands out a [`RunWriter`] from
+/// [`OutputBuffer::writer`], and a fused chain runs straight into it —
+/// one monomorphic loop per leaf. A buffer that transforms a leaf's run
+/// (joining, the FFT) answers `None` there and gets every leaf as a
+/// borrowed run through [`OutputBuffer::fill_run`]; a fused leaf is
+/// materialised first.
+///
 /// All methods take `&self`: the buffer outlives stray `Arc` clones
 /// held by already-satisfied join stubs still queued in worker deques,
 /// so exclusive ownership can never be assumed — interior mutability
@@ -197,11 +206,13 @@ pub trait OutputBuffer<T, O>: Send + Sync {
     /// slot in window order. Returns the number of elements written.
     fn fill_run(&self, w: Window, items: &[T], step: usize) -> u64;
 
-    /// Writes a pushed stream of elements into `w`: `drive` is called
-    /// once with a sink and must push every element of the leaf into
-    /// it (the fused-chain leaf route). Returns the number written.
-    #[allow(clippy::type_complexity)]
-    fn fill_with(&self, w: Window, drive: &mut dyn FnMut(&mut dyn FnMut(T))) -> u64;
+    /// A direct writer over `w` when one slot holds exactly one element
+    /// as-is, so a leaf may write its elements itself; `None` (the
+    /// default) when the buffer transforms each run in
+    /// [`OutputBuffer::fill_run`].
+    fn writer(&self, _w: Window) -> Option<RunWriter<'_, T>> {
+        None
+    }
 
     /// The ascend-phase step for the merge of `parent`'s two children,
     /// of which the left occupied `left_slots` slots. A no-op for plain
@@ -285,12 +296,12 @@ impl<S> PlacementBuf<S> {
     }
 
     /// An incremental writer over `w` for monomorphic leaf kernels: the
-    /// bulk [`RunWriter::push_run`] path skips the per-element dynamic
-    /// dispatch that [`PlacementBuf::write`]'s sink pays, which is what
-    /// makes the placement leaf competitive with a splicing `memcpy`
-    /// leaf. The written prefix is recorded when the writer drops —
-    /// including a panic unwind — so teardown drops exactly the
-    /// initialised cells.
+    /// bulk [`RunWriter::push_run`] / [`RunWriter::push_chain`] paths
+    /// skip the per-element dynamic dispatch that
+    /// [`PlacementBuf::write`]'s sink pays, which is what makes the
+    /// placement leaf competitive with a hand-written loop. The written
+    /// prefix is recorded when the writer drops — including a panic
+    /// unwind — so teardown drops exactly the initialised cells.
     pub fn writer(&self, w: Window) -> RunWriter<'_, S> {
         RunWriter {
             buf: self,
@@ -363,6 +374,23 @@ impl<S> PlacementBuf<S> {
     }
 }
 
+/// Write-back of a bulk run's progress: `done` stays in a register
+/// during the copy loop (the buffer holds a mutex, so `self.buf.ptr`
+/// read through `&self` cannot be hoisted out of the loop by the
+/// compiler — and a per-element `self.written += 1` store blocks the
+/// memcpy idiom). On a panicking clone or mapper, `Drop` still lands the
+/// exact initialised prefix in the writer.
+struct PrefixGuard<'a> {
+    written: &'a mut usize,
+    done: usize,
+}
+
+impl Drop for PrefixGuard<'_> {
+    fn drop(&mut self) {
+        *self.written += self.done;
+    }
+}
+
 /// Incremental writer over one window of a [`PlacementBuf`] — see
 /// [`PlacementBuf::writer`]. Dropping the writer records the written
 /// prefix in the buffer's run log (panic-safe bookkeeping).
@@ -412,11 +440,28 @@ impl<S> RunWriter<'_, S> {
     where
         S: Clone,
     {
-        let n = if items.is_empty() {
-            0
-        } else {
-            (items.len() - 1) / step + 1
-        };
+        self.push_chain(items, step, &IdentityStage);
+    }
+
+    /// Pushes every `step`-th element of `items` through the exact
+    /// fused `chain` into the window's next slots — the fused placement
+    /// leaf, bounds-checked once up front. The chain must emit exactly
+    /// one value per item: that is what its [`FusedStage::exact`] claim
+    /// promises, and a custom stage may break it, so each item's value
+    /// is checked before it is written.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the run does not fit the window's remaining slots,
+    /// or when `chain` emits two values or none for an item — before
+    /// that item's slot is written.
+    pub fn push_chain<B: Clone, K: FusedStage<B, S>>(
+        &mut self,
+        items: &[B],
+        step: usize,
+        chain: &K,
+    ) {
+        let n = items.len().div_ceil(step);
         assert!(
             self.written + n <= self.w.len,
             "placement window overflow: window holds {} slots",
@@ -430,42 +475,37 @@ impl<S> RunWriter<'_, S> {
                 self.buf.slots
             );
         }
-        let base = self.w.base + self.written * self.w.step;
-        // The write-back guard keeps the per-element progress count in
-        // a register (the buffer holds a mutex, so `self.buf.ptr` read
-        // through `&self` cannot be hoisted out of the loop by the
-        // compiler — and a per-element `self.written += 1` store blocks
-        // the memcpy idiom). On a panicking clone the guard's `Drop`
-        // still lands the exact initialised prefix in `self.written`.
-        struct PrefixGuard<'a> {
-            written: &'a mut usize,
-            done: usize,
-        }
-        impl Drop for PrefixGuard<'_> {
-            fn drop(&mut self) {
-                *self.written += self.done;
-            }
-        }
-        // SAFETY: `base` plus the run extent is in bounds (asserted
-        // above); by the disjoint-window contract no other thread
-        // touches these slots, and the raw pointer never materialises a
-        // `&mut` over the whole allocation.
-        let dst = unsafe { self.buf.ptr.add(base) };
+        // Only slots the run covers are ever written through `dst` (in
+        // bounds, asserted above); by the disjoint-window contract no
+        // other thread touches them, and the raw pointer never
+        // materialises a `&mut` over the whole allocation.
+        let dst = self
+            .buf
+            .ptr
+            .wrapping_add(self.w.base + self.written * self.w.step);
         let stride = self.w.step;
         let mut guard = PrefixGuard {
             written: &mut self.written,
             done: 0,
         };
+        let one = |x: &B| {
+            let mut out = None;
+            chain.push(x.clone(), &mut |u| {
+                assert!(out.is_none(), "exact chain emitted two values for one item");
+                out = Some(u);
+            });
+            out.expect("exact chain emitted no value for an item")
+        };
         if stride == 1 && step == 1 {
             for (j, x) in items.iter().enumerate() {
-                // SAFETY: see `dst` above; `j < n` keeps it in bounds.
-                unsafe { dst.add(j).write(MaybeUninit::new(x.clone())) };
+                // SAFETY: `j` is inside the claimed run.
+                unsafe { dst.add(j).write(MaybeUninit::new(one(x))) };
                 guard.done = j + 1;
             }
         } else {
             for (j, x) in items.iter().step_by(step).enumerate() {
                 // SAFETY: as above, with the window's stride.
-                unsafe { dst.add(j * stride).write(MaybeUninit::new(x.clone())) };
+                unsafe { dst.add(j * stride).write(MaybeUninit::new(one(x))) };
                 guard.done = j + 1;
             }
         }
@@ -520,9 +560,12 @@ impl<S> Drop for PlacementBuf<S> {
     }
 }
 
-/// [`OutputBuffer`] for [`VecCollector`](crate::VecCollector): leaves
-/// clone straight into the window, combine is a true no-op, finish is
-/// the assembled `Vec`.
+/// [`OutputBuffer`] for [`VecCollector`](crate::VecCollector) and
+/// [`PowerListCollector`](crate::PowerListCollector): one slot per
+/// element, so leaves write straight into their window. Combine is a
+/// true no-op (the window rule carries any tie/zip recomposition), and
+/// finish converts the assembled `Vec` into the output (`Vec` itself, or
+/// a `PowerArray`).
 pub struct VecPlacement<T> {
     buf: PlacementBuf<T>,
 }
@@ -536,21 +579,21 @@ impl<T> VecPlacement<T> {
     }
 }
 
-impl<T: Clone + Send + 'static> OutputBuffer<T, Vec<T>> for VecPlacement<T> {
+impl<T: Clone + Send + 'static, O: From<Vec<T>>> OutputBuffer<T, O> for VecPlacement<T> {
     fn fill_run(&self, w: Window, items: &[T], step: usize) -> u64 {
         let mut writer = self.buf.writer(w);
         writer.push_run(items, step);
         writer.count()
     }
 
-    fn fill_with(&self, w: Window, drive: &mut dyn FnMut(&mut dyn FnMut(T))) -> u64 {
-        self.buf.write(w, drive)
+    fn writer(&self, w: Window) -> Option<RunWriter<'_, T>> {
+        Some(self.buf.writer(w))
     }
 
     fn combine(&self, _parent: Window, _left_slots: usize) {}
 
-    fn finish(&self) -> Vec<T> {
-        self.buf.finish_vec()
+    fn finish(&self) -> O {
+        O::from(self.buf.finish_vec())
     }
 }
 
@@ -586,17 +629,6 @@ impl OutputBuffer<String, String> for JoiningPlacement {
         elements
     }
 
-    fn fill_with(&self, w: Window, drive: &mut dyn FnMut(&mut dyn FnMut(String))) -> u64 {
-        assert_eq!(w.step, 1, "joining windows are contiguous byte runs");
-        let mut writer = self.buf.writer(w);
-        let mut elements = 0u64;
-        drive(&mut |s: String| {
-            elements += 1;
-            writer.push_run(s.as_bytes(), 1);
-        });
-        elements
-    }
-
     fn combine(&self, parent: Window, left_slots: usize) {
         if self.separator.is_empty() {
             return;
@@ -629,6 +661,7 @@ pub fn reserve<T, O, B: OutputBuffer<T, O> + 'static>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fused::MapStage;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
@@ -852,6 +885,110 @@ mod tests {
         assert_eq!(drops.load(Ordering::SeqCst), 4);
     }
 
+    /// Drop counter for the `'static` chains below (`FusedStage`
+    /// requires it).
+    static CHAIN_DROPS: AtomicUsize = AtomicUsize::new(0);
+
+    #[test]
+    fn push_chain_panic_records_exactly_the_written_prefix() {
+        {
+            let buf = PlacementBuf::<DropTally>::new(8);
+            // Window of 4 interleaved slots; the mapper panics on the
+            // third item, after two slots were initialised.
+            let chain = MapStage::new(IdentityStage, |i: usize| {
+                assert!(i != 2, "mapper bang");
+                DropTally(&CHAIN_DROPS)
+            });
+            let w = Window {
+                base: 1,
+                step: 2,
+                len: 4,
+            };
+            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                buf.writer(w).push_chain(&[0usize, 1, 2, 3], 1, &chain);
+            }));
+            assert!(r.is_err());
+            assert_eq!(buf.state.lock().runs, vec![Window { len: 2, ..w }]);
+            assert_eq!(CHAIN_DROPS.load(Ordering::SeqCst), 0);
+            let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                buf.finish_vec();
+            }));
+            assert!(refused.is_err(), "finish must refuse a partial output");
+        }
+        // Teardown dropped exactly the two initialised cells.
+        assert_eq!(CHAIN_DROPS.load(Ordering::SeqCst), 2);
+    }
+
+    /// A custom stage that claims `exact()` but emits `copies` values
+    /// for item 1 (one for every other item).
+    #[derive(Clone)]
+    struct Inexact {
+        copies: usize,
+    }
+
+    impl FusedStage<i64, i64> for Inexact {
+        fn push<Sink: FnMut(i64)>(&self, x: i64, sink: &mut Sink) -> bool {
+            let n = if x == 1 { self.copies } else { 1 };
+            for _ in 0..n {
+                sink(x);
+            }
+            n > 0
+        }
+
+        fn exact(&self) -> bool {
+            true
+        }
+
+        fn drops(&self) -> crate::Characteristics {
+            crate::Characteristics::empty()
+        }
+    }
+
+    #[test]
+    fn inexact_chain_panics_without_leaving_its_window() {
+        for (copies, msg) in [(0, "no value"), (2, "two values")] {
+            let buf = PlacementBuf::<i64>::new(6);
+            let (even, odd) = descend(Window::root(6), WindowRule::Interleave, 3, 0);
+            buf.writer(odd).push_run(&[100, 101, 102], 1);
+            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                buf.writer(even)
+                    .push_chain(&[0, 1, 2], 1, &Inexact { copies });
+            }));
+            let payload = r.expect_err("an inexact chain must panic");
+            let text = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| payload.downcast_ref::<&str>().copied());
+            assert!(text.unwrap().contains(msg), "{text:?}");
+            // Only item 0 landed; the neighbouring window is untouched.
+            assert_eq!(buf.state.lock().runs, vec![odd, Window { len: 1, ..even }]);
+            for (slot, v) in [(0, 0), (1, 100), (3, 101), (5, 102)] {
+                // SAFETY: these slots are recorded as initialised above.
+                assert_eq!(unsafe { (*buf.ptr.add(slot)).assume_init() }, v);
+            }
+        }
+    }
+
+    /// Each collect runs in a recorded section only so its events stay
+    /// out of other tests' reports.
+    #[test]
+    fn inexact_chain_fails_the_collect_as_a_contained_panic() {
+        use crate::{stream_support, ExecConfig, FusedSpliterator, SliceSpliterator, VecCollector};
+        for cfg in [ExecConfig::par().with_leaf_size(2), ExecConfig::seq()] {
+            for copies in [0, 2] {
+                let source = FusedSpliterator::new(
+                    SliceSpliterator::new((0..8i64).collect()),
+                    Inexact { copies },
+                );
+                let (res, _) = plobs::recorded(|| {
+                    stream_support(source, true).try_collect(VecCollector, &cfg)
+                });
+                let err = res.expect_err("an inexact chain must fail the collect");
+                assert!(err.panic_message().unwrap().contains("exact chain emitted"));
+            }
+        }
+    }
+
     #[test]
     fn finished_vec_owns_the_cells() {
         let drops = AtomicUsize::new(0);
@@ -913,7 +1050,7 @@ mod tests {
 
     #[test]
     fn vec_placement_strided_fill() {
-        let v = VecPlacement::<u8>::new(2);
+        let v: &dyn OutputBuffer<u8, Vec<u8>> = &VecPlacement::new(2);
         // Strided-run contract: last element included, len % step == 1.
         let items = [9u8, 0, 8];
         assert_eq!(v.fill_run(Window::root(2), &items, 2), 2);

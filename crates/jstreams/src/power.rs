@@ -4,7 +4,7 @@
 
 use crate::characteristics::Characteristics;
 use crate::collector::Collector;
-use crate::placement::{self, OutputBuffer, PlacementBuf, PlacementSpec, Window, WindowRule};
+use crate::placement::{self, OutputBuffer, PlacementSpec, VecPlacement, WindowRule};
 use crate::spliterator::{ItemSource, LeafAccess, Spliterator};
 use crate::stream::{stream_support, Stream};
 use crate::tie::TieSpliterator;
@@ -145,32 +145,6 @@ impl PowerListCollector {
     }
 }
 
-/// [`OutputBuffer`] for [`PowerListCollector`]: identical to the plain
-/// vector destination except that `finish` promotes to a
-/// [`PowerArray`]. The window rule (chosen by the collector) carries
-/// the tie/zip recomposition: combine itself is a true no-op.
-struct PowerPlacement<T> {
-    buf: PlacementBuf<T>,
-}
-
-impl<T: Clone + Send + 'static> OutputBuffer<T, PowerArray<T>> for PowerPlacement<T> {
-    fn fill_run(&self, w: Window, items: &[T], step: usize) -> u64 {
-        let mut writer = self.buf.writer(w);
-        writer.push_run(items, step);
-        writer.count()
-    }
-
-    fn fill_with(&self, w: Window, drive: &mut dyn FnMut(&mut dyn FnMut(T))) -> u64 {
-        self.buf.write(w, drive)
-    }
-
-    fn combine(&self, _parent: Window, _left_slots: usize) {}
-
-    fn finish(&self) -> PowerArray<T> {
-        PowerArray::from(self.buf.finish_vec())
-    }
-}
-
 impl<T: Clone + Send + 'static> Collector<T> for PowerListCollector {
     type Acc = PowerArray<T>;
     type Out = PowerArray<T>;
@@ -222,9 +196,7 @@ impl<T: Clone + Send + 'static> Collector<T> for PowerListCollector {
     }
 
     fn try_reserve(&self, slots: usize) -> Option<Arc<dyn OutputBuffer<T, PowerArray<T>>>> {
-        placement::reserve(PowerPlacement {
-            buf: PlacementBuf::new(slots),
-        })
+        placement::reserve(VecPlacement::new(slots))
     }
 }
 

@@ -21,6 +21,7 @@
 //! [`Spliterator::encounter_rank`] instead.
 
 use crate::characteristics::Characteristics;
+use crate::placement::RunWriter;
 use powerlist::{is_power_of_two, Error};
 
 /// The traversal half of a spliterator (object safe).
@@ -125,15 +126,14 @@ pub trait LeafAccess<T> {
         false
     }
 
-    /// Fused-borrow **placement** leaf: drives the fused adapter chain
-    /// push-style over the borrowed source run, delivering every
-    /// transformed element to `sink` in encounter order, and returns
-    /// the count delivered. Only meaningful for *exact* (filter-free)
-    /// chains, where the count equals the source run's length — the
+    /// Fused-borrow **placement** leaf: drives the exact (filter-free)
+    /// fused chain over the borrowed source run straight into `writer`'s
+    /// window, one transformed element per slot in encounter order
+    /// ([`RunWriter::push_chain`]), and returns the count written — the
     /// precondition [`LeafAccess::can_fused_fill`] advertises. `None`
     /// declines the route (the default). Implementations must leave
     /// `self` drained on success.
-    fn fused_fill(&mut self, _sink: &mut dyn FnMut(T)) -> Option<u64> {
+    fn fused_fill(&mut self, _writer: &mut RunWriter<'_, T>) -> Option<u64> {
         None
     }
 }

@@ -30,7 +30,7 @@ use jstreams::{
     power_stream, Collector, Decomposition, OutputBuffer, PlacementBuf, PlacementSpec, Window,
     WindowRule,
 };
-use powerlist::{PowerArray, PowerList};
+use powerlist::PowerList;
 use std::sync::Arc;
 
 /// The `powers` function of Eq. 3: `(w⁰, …, wⁿ⁻¹)` with `w` the `2n`-th
@@ -143,67 +143,76 @@ impl PowerFunction for FftFunction {
 }
 
 /// Collector running the FFT through the streams adaptation: the
-/// accumulation container is the frequency-domain partial result, the
-/// combiner the butterfly. The leaf phase runs the sequential FFT on the
-/// leaf sub-list — the Section V observation that `forEachRemaining`
-/// leaves can get a specialised sequential kernel.
+/// combiner is the butterfly over the two halves' spectra. The
+/// zero-copy leaf kernels transform a borrowed residue class straight
+/// into its spectrum — the Section V observation that leaves can get a
+/// specialised sequential kernel. A leaf built by `accumulate` (the
+/// cloning drain, a fused `map` chain) holds samples until the first
+/// combine or `finish` transforms them, so every leaf route yields the
+/// same container.
 pub struct FftCollector;
 
+/// [`FftCollector`]'s container: a leaf's samples, or their spectrum.
+pub struct FftAcc {
+    values: Vec<Complex>,
+    /// `true` once `values` holds the spectrum.
+    spectral: bool,
+}
+
+impl FftAcc {
+    fn spectrum(self) -> Vec<Complex> {
+        if self.spectral {
+            self.values
+        } else {
+            run_spectrum(&self.values, 1)
+        }
+    }
+}
+
+/// The spectrum of the strided run `items[0], items[step], …` (last
+/// element included); `fft_rec` walks the stride in place.
+fn run_spectrum(items: &[Complex], step: usize) -> Vec<Complex> {
+    match items.len().div_ceil(step) {
+        0 => Vec::new(),
+        n => fft_rec(items, step, 0, n, false),
+    }
+}
+
 impl Collector<Complex> for FftCollector {
-    type Acc = PowerArray<Complex>;
+    type Acc = FftAcc;
     type Out = PowerList<Complex>;
 
-    fn supplier(&self) -> PowerArray<Complex> {
-        PowerArray::new()
-    }
-
-    fn accumulate(&self, acc: &mut PowerArray<Complex>, item: Complex) {
-        acc.push(item);
-    }
-
-    fn combine(
-        &self,
-        left: PowerArray<Complex>,
-        right: PowerArray<Complex>,
-    ) -> PowerArray<Complex> {
-        PowerArray::from(butterfly(left.into_vec(), right.into_vec(), false))
-    }
-
-    /// Specialised leaf: the accumulated sub-list is itself a PowerList
-    /// (a residue class of the input); transform it sequentially.
-    fn leaf(&self, source: &mut dyn jstreams::ItemSource<Complex>) -> PowerArray<Complex> {
-        let mut acc = self.supplier();
-        source.for_each_remaining(&mut |x| acc.push(x));
-        let n = acc.len();
-        if n <= 1 {
-            return acc;
+    fn supplier(&self) -> FftAcc {
+        FftAcc {
+            values: Vec::new(),
+            spectral: false,
         }
-        PowerArray::from(fft_rec(acc.as_slice(), 1, 0, n, false))
     }
 
-    fn finish(&self, acc: PowerArray<Complex>) -> PowerList<Complex> {
-        acc.into_powerlist()
-            .expect("fft preserves the shape invariant")
+    fn accumulate(&self, acc: &mut FftAcc, item: Complex) {
+        acc.values.push(item);
     }
 
-    /// Zero-copy leaf: `fft_rec` already walks `(slice, stride, offset)`
-    /// descriptors, so a borrowed residue class transforms in place —
-    /// no materialisation of the leaf sub-list at all.
-    fn leaf_slice(&self, items: &[Complex]) -> Option<PowerArray<Complex>> {
+    fn combine(&self, left: FftAcc, right: FftAcc) -> FftAcc {
+        FftAcc {
+            values: butterfly(left.spectrum(), right.spectrum(), false),
+            spectral: true,
+        }
+    }
+
+    fn finish(&self, acc: FftAcc) -> PowerList<Complex> {
+        PowerList::from_vec(acc.spectrum()).expect("fft preserves the shape invariant")
+    }
+
+    fn leaf_slice(&self, items: &[Complex]) -> Option<FftAcc> {
         self.leaf_strided(items, 1)
     }
 
-    fn leaf_strided(&self, items: &[Complex], step: usize) -> Option<PowerArray<Complex>> {
-        if items.is_empty() {
-            return Some(PowerArray::new());
-        }
-        let n = (items.len() - 1) / step + 1;
-        if n == 1 {
-            let mut acc = PowerArray::new();
-            acc.push(items[0]);
-            return Some(acc);
-        }
-        Some(PowerArray::from(fft_rec(items, step, 0, n, false)))
+    fn leaf_strided(&self, items: &[Complex], step: usize) -> Option<FftAcc> {
+        Some(FftAcc {
+            values: run_spectrum(items, step),
+            spectral: true,
+        })
     }
 
     /// Placement windows concatenate — the butterfly writes
@@ -238,31 +247,8 @@ struct FftPlacement {
 
 impl OutputBuffer<Complex, PowerList<Complex>> for FftPlacement {
     fn fill_run(&self, w: Window, items: &[Complex], step: usize) -> u64 {
-        if items.is_empty() {
-            return 0;
-        }
-        let n = (items.len() - 1) / step + 1;
-        let hat = if n == 1 {
-            vec![items[0]]
-        } else {
-            fft_rec(items, step, 0, n, false)
-        };
         let mut writer = self.buf.writer(w);
-        writer.push_run(&hat, 1);
-        writer.count()
-    }
-
-    fn fill_with(&self, w: Window, drive: &mut dyn FnMut(&mut dyn FnMut(Complex))) -> u64 {
-        let mut elems = Vec::with_capacity(w.len);
-        drive(&mut |z| elems.push(z));
-        let n = elems.len();
-        let hat = if n <= 1 {
-            elems
-        } else {
-            fft_rec(&elems, 1, 0, n, false)
-        };
-        let mut writer = self.buf.writer(w);
-        writer.push_run(&hat, 1);
+        writer.push_run(&run_spectrum(items, step), 1);
         writer.count()
     }
 
@@ -426,10 +412,27 @@ mod tests {
                 .with_leaf_size(16)
                 .with_placement(false)
                 .collect(FftCollector);
-            let placed = power_stream(s, Decomposition::Zip)
+            let placed = power_stream(s.clone(), Decomposition::Zip)
                 .with_leaf_size(16)
                 .collect(FftCollector);
             assert_eq!(placed.as_slice(), splice.as_slice());
+
+            // Mapped signal: placement materialises each fused leaf
+            // before its transform; splice transforms the accumulated
+            // samples at the first butterfly or at `finish`.
+            let half = |z: Complex| z.scale(0.5);
+            let splice = power_stream(s.clone(), Decomposition::Zip)
+                .with_leaf_size(16)
+                .with_placement(false)
+                .map(half)
+                .collect(FftCollector);
+            let placed = power_stream(s.clone(), Decomposition::Zip)
+                .with_leaf_size(16)
+                .map(half)
+                .collect(FftCollector);
+            assert_eq!(placed.as_slice(), splice.as_slice());
+            let halved = tabulate(1 << k, |i| half(s.as_slice()[i])).unwrap();
+            assert_close(placed.as_slice(), fft_seq(&halved).as_slice());
         }
     }
 

@@ -23,7 +23,7 @@
 //! harness completes in sensible time on small hosts, while the
 //! simulated series always covers the full 2^20..2^26 range.
 
-use plbench::{ms, random_coeffs, time_avg, PAPER_RUNS};
+use plbench::{ms, random_coeffs, time_avg, time_avg_with, PAPER_RUNS};
 use simsched::{predict_poly, MachineModel};
 use std::sync::Arc;
 
@@ -75,9 +75,10 @@ fn parse_args() -> Args {
 fn measure(n: usize, runs: usize) -> (f64, f64) {
     let coeffs = random_coeffs(n, 0xC0FFEE);
     let pool = Arc::new(forkjoin::ForkJoinPool::with_default_parallelism());
-    let (_, seq) = time_avg(runs, || plalgo::eval_seq_stream(coeffs.clone(), EVAL_POINT));
-    let (_, par) = time_avg(runs, || {
-        plalgo::eval_par_stream_with(coeffs.clone(), EVAL_POINT, Some(Arc::clone(&pool)), None)
+    let input = || coeffs.clone();
+    let (_, seq) = time_avg_with(runs, input, |c| plalgo::eval_seq_stream(c, EVAL_POINT));
+    let (_, par) = time_avg_with(runs, input, |c| {
+        plalgo::eval_par_stream_with(c, EVAL_POINT, Some(Arc::clone(&pool)), None)
     });
     (ms(seq), ms(par))
 }
@@ -180,11 +181,12 @@ fn tiezip(args: &Args) {
         let n = 1usize << k;
         let data = plbench::random_ints(n, 0xA11CE);
         use jstreams::Decomposition;
-        let (_, tie) = time_avg(args.runs, || {
-            plalgo::map_stream(data.clone(), Decomposition::Tie, |x| x * 3 + 1)
+        let input = || data.clone();
+        let (_, tie) = time_avg_with(args.runs, input, |d| {
+            plalgo::map_stream(d, Decomposition::Tie, |x| x * 3 + 1)
         });
-        let (_, zip) = time_avg(args.runs, || {
-            plalgo::map_stream(data.clone(), Decomposition::Zip, |x| x * 3 + 1)
+        let (_, zip) = time_avg_with(args.runs, input, |d| {
+            plalgo::map_stream(d, Decomposition::Zip, |x| x * 3 + 1)
         });
         let (sim_tie, sim_zip) = simsched::predict_map_collect(8, n, n / 32, &model);
         println!(

@@ -59,11 +59,23 @@ pub fn time_once<R>(f: impl FnOnce() -> R) -> (R, Duration) {
 /// The paper's protocol: run `f` `runs` times and average the wall
 /// times; the last result is returned for checking.
 pub fn time_avg<R>(runs: usize, mut f: impl FnMut() -> R) -> (R, Duration) {
+    time_avg_with(runs, || (), |()| f())
+}
+
+/// [`time_avg`] with a per-run set-up: `setup` builds each run's input
+/// (an owned copy of the data the op consumes) outside the timed
+/// region, and only `f(input)` is timed.
+pub fn time_avg_with<I, R>(
+    runs: usize,
+    mut setup: impl FnMut() -> I,
+    mut f: impl FnMut(I) -> R,
+) -> (R, Duration) {
     assert!(runs >= 1);
     let mut total = Duration::ZERO;
     let mut last = None;
     for _ in 0..runs {
-        let (r, d) = time_once(&mut f);
+        let input = setup();
+        let (r, d) = time_once(|| f(input));
         total += d;
         last = Some(r);
     }

@@ -1072,6 +1072,20 @@ proptest! {
                 .unwrap();
             prop_assert_eq!(&placed, &raw);
             prop_assert_eq!(&spliced, &raw);
+
+            // Mapped leg: the fused chain writes through the window
+            // writer on the placement route.
+            let mapped: Vec<i64> = raw.iter().map(|x| x * 3 + 1).collect();
+            let placed = stream_support(SliceSpliterator::new(raw.clone()), true)
+                .map(|x: i64| x * 3 + 1)
+                .try_collect(VecCollector, &cfg)
+                .unwrap();
+            let spliced = stream_support(SliceSpliterator::new(raw.clone()), true)
+                .map(|x: i64| x * 3 + 1)
+                .try_collect(VecCollector, &cfg.clone().with_placement(false))
+                .unwrap();
+            prop_assert_eq!(&placed, &mapped);
+            prop_assert_eq!(&spliced, &mapped);
         }
     }
 
@@ -1094,6 +1108,18 @@ proptest! {
                 .try_collect(PowerListCollector::new(dc), &cfg)
                 .unwrap();
             let spliced = stream_support(PowerSpliterator::over(p.clone(), ds), true)
+                .try_collect(PowerListCollector::new(dc), &cfg.clone().with_placement(false))
+                .unwrap();
+            prop_assert_eq!(placed, spliced);
+
+            // Mapped leg: interleaved windows (step > 1) and mismatched
+            // pairings run the fused chain through the window writer.
+            let placed = stream_support(PowerSpliterator::over(p.clone(), ds), true)
+                .map(|x: i64| x * 3 + 1)
+                .try_collect(PowerListCollector::new(dc), &cfg)
+                .unwrap();
+            let spliced = stream_support(PowerSpliterator::over(p.clone(), ds), true)
+                .map(|x: i64| x * 3 + 1)
                 .try_collect(PowerListCollector::new(dc), &cfg.clone().with_placement(false))
                 .unwrap();
             prop_assert_eq!(placed, spliced);
@@ -1143,6 +1169,27 @@ proptest! {
             .try_collect(JoiningCollector::new(sep.clone()), &par.clone().with_placement(false))
             .unwrap();
         prop_assert_eq!(&placed, &spliced);
+
+        // Mapped leg, sequential and parallel: a `String` mapper in
+        // front of the joining collector.
+        let shout = |w: String| w + "!";
+        for cfg in [seq, par] {
+            let placed = stream_support(SliceSpliterator::new(words.clone()), true)
+                .map(shout)
+                .try_collect(JoiningCollector::new(sep.clone()), &cfg)
+                .unwrap();
+            let spliced = stream_support(SliceSpliterator::new(words.clone()), true)
+                .map(shout)
+                .try_collect(JoiningCollector::new(sep.clone()), &cfg.clone().with_placement(false))
+                .unwrap();
+            prop_assert_eq!(&placed, &spliced);
+        }
+        let shouted: Vec<String> = words.iter().cloned().map(shout).collect();
+        let placed = stream_support(SliceSpliterator::new(words.clone()), true)
+            .map(shout)
+            .try_collect(JoiningCollector::new(sep.clone()), &ExecConfig::seq())
+            .unwrap();
+        prop_assert_eq!(placed, shouted.concat());
     }
 
     /// A panic inside the mapper of a placement-eligible pipeline
@@ -1163,7 +1210,6 @@ proptest! {
         raw[ix] = 100_000;
         let poison = raw[ix];
         let msg = format!("mapper poison {poison}");
-        let n = raw.len();
 
         for cfg in [ExecConfig::par().with_leaf_size(leaf), ExecConfig::seq()] {
             // Copy payload into a Vec destination.
@@ -1195,7 +1241,8 @@ proptest! {
                 .map(|x: i64| x - 1)
                 .try_collect(VecCollector, &cfg)
                 .unwrap();
-            prop_assert_eq!(ok.len(), n);
+            let expected: Vec<i64> = raw.iter().map(|x| x - 1).collect();
+            prop_assert_eq!(ok, expected);
         }
     }
 }
